@@ -10,19 +10,7 @@ import sys
 
 import numpy as np
 
-from tprabi import (
-    ModelParams,
-    SubspaceLabel,
-    build_subspace_tridiagonal,
-    convergence_filter,
-    critical_coupling,
-    solve_tridiagonal,
-)
-
-
-def survivors(params, label, cutoff, k=25):
-    tridiag = build_subspace_tridiagonal(label, params, cutoff)
-    return convergence_filter(solve_tridiagonal(tridiag, k))
+from tprabi import ModelParams, SubspaceLabel, critical_coupling, solve_point
 
 
 def parse_args(argv=None):
@@ -46,14 +34,12 @@ def main(argv=None):
     print(f"g_c = {gc:g}; filter: tail fraction 0.2, tolerance 1e-6")
     print("cutoff  count  energy          tail_norm   overlap(0.98 g_c ground)")
     for cutoff in args.cutoffs:
-        filtered = survivors(at_gc, label, cutoff)
+        filtered = solve_point(at_gc, label, cutoff, 25)
         if filtered.converged_count != 1:
             print(f"{cutoff:6d}  {filtered.converged_count:5d}  (no lone survivor)")
             continue
         lone = filtered.converged_pairs[0]
-        ground = solve_tridiagonal(
-            build_subspace_tridiagonal(label, near_gc, cutoff), 1
-        )[0]
+        ground = solve_point(near_gc, label, cutoff, 1).pairs[0]
         overlap = float(abs(np.vdot(lone.vector, ground.vector)))
         print(
             f"{cutoff:6d}  {filtered.converged_count:5d}  {lone.value:+.8e}"

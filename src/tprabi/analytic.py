@@ -9,9 +9,10 @@ oscillator below, free particle at, inverted oscillator above.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -108,22 +109,19 @@ def degenerate_spectrum(
     return degenerate_energies(data.alpha_plus, data.alpha_minus, label.bargmann_q, count)
 
 
-def _hermite_functions(n: int, u: np.ndarray) -> np.ndarray:
-    """Unit-normalized oscillator eigenfunction phi_n on the grid u.
+def _hermite_ladder(u: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """Unit-normalized oscillator eigenfunctions phi_0, ..., phi_{n-1} on the grid u.
 
-    The (2^n n!)^(-1/2) normalization is carried inside the three-term
-    recurrence, which stays bounded for n in the thousands.
+    The (2^k k!)^(-1/2) normalization is carried inside the three-term
+    recurrence, which stays bounded for k in the thousands.
     """
-    phi_prev = np.pi ** -0.25 * np.exp(-(u**2) / 2.0)
-    if n == 0:
-        return phi_prev
-    phi = math.sqrt(2.0) * u * phi_prev
-    for k in range(1, n):
+    phi_prev, phi = 0.0, np.pi ** -0.25 * np.exp(-(u**2) / 2.0)
+    for k in range(n):
+        yield phi
         phi, phi_prev = (
             math.sqrt(2.0 / (k + 1)) * u * phi - math.sqrt(k / (k + 1.0)) * phi_prev,
             phi,
         )
-    return phi
 
 
 def hermite_gauss(n: int, regime: RegimeData, x: Sequence[float]) -> np.ndarray:
@@ -137,7 +135,8 @@ def hermite_gauss(n: int, regime: RegimeData, x: Sequence[float]) -> np.ndarray:
         raise ValueError(f"level must be >= 0, got {n}")
     beta = (regime.alpha_minus / regime.alpha_plus) ** 0.25
     grid = np.asarray(x, dtype=float)
-    return math.sqrt(beta) * _hermite_functions(n, beta * grid)
+    phi_n = next(itertools.islice(_hermite_ladder(beta * grid, n + 1), n, None))
+    return math.sqrt(beta) * phi_n
 
 
 def plane_wave(lam: float, sign: int, x: Sequence[float]) -> np.ndarray:
@@ -234,16 +233,6 @@ def fock_to_position(
         spread[(0 if label.bargmann_q == 0.25 else 1) :: 2] = coeffs
         coeffs = spread
     out = np.zeros(grid.shape, dtype=np.result_type(coeffs.dtype, float))
-    phi_prev = np.pi ** -0.25 * np.exp(-(grid**2) / 2.0)
-    out += coeffs[0] * phi_prev
-    if coeffs.size == 1:
-        return out
-    phi = math.sqrt(2.0) * grid * phi_prev
-    out += coeffs[1] * phi
-    for n in range(1, coeffs.size - 1):
-        phi, phi_prev = (
-            math.sqrt(2.0 / (n + 1)) * grid * phi - math.sqrt(n / (n + 1.0)) * phi_prev,
-            phi,
-        )
-        out += coeffs[n + 1] * phi
+    for c, phi in zip(coeffs, _hermite_ladder(grid, coeffs.size)):
+        out += c * phi
     return out

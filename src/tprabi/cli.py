@@ -33,20 +33,19 @@ from .model import (
     build_phase_space,
     build_rotated_fock,
     build_subspace_tridiagonal,
+    subspace_from_name,
+    subspace_name,
 )
-from .solver import (
-    convergence_filter,
-    solve_hermitian,
-    solve_tridiagonal,
-)
+from .solver import solve_hermitian, solve_tridiagonal
 from .sweep import (
     RelativeComb,
     SweepConfig,
     detect_collapse,
     run_sweep,
+    solve_point,
 )
 
-SUBSPACE_CHOICES = ("q14+", "q14-", "q34+", "q34-", "full")
+SUBSPACE_CHOICES = tuple(label.name for label in ALL_SUBSPACES) + ("full",)
 
 
 class UsageError(Exception):
@@ -187,15 +186,10 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise ConfigError(str(exc), lineno, raw) from None
 
     value, lineno, raw = value_of("subspaces")
-    subspaces = []
-    for token in (tok.strip() for tok in value.split(",")):
-        if token == "full":
-            subspaces.append("full")
-        else:
-            try:
-                subspaces.append(SubspaceLabel.from_name(token))
-            except ValueError as exc:
-                raise ConfigError(str(exc), lineno, raw) from None
+    try:
+        subspaces = tuple(subspace_from_name(tok.strip()) for tok in value.split(","))
+    except ValueError as exc:
+        raise ConfigError(str(exc), lineno, raw) from None
 
     kwargs = {}
     if "eigenpairs" in seen:
@@ -210,7 +204,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
             omega0_grid=omega0,
             omega_grid=omega,
             coupling_spec=coupling,
-            subspaces=tuple(subspaces),
+            subspaces=subspaces,
             cutoff=_parse_int(*value_of("cutoff")),
             **kwargs,
         )
@@ -229,8 +223,7 @@ def serialize_sweep_config(config: SweepConfig) -> str:
         lines.append(f"g2_rel = grid({comb.lo!r}, {comb.hi!r}, {comb.steps + 1})")
     else:
         lines.append("g2 = " + ", ".join(repr(v) for v in config.coupling_spec))
-    names = [s if isinstance(s, str) else s.name for s in config.subspaces]
-    lines.append("subspaces = " + ", ".join(names))
+    lines.append("subspaces = " + ", ".join(subspace_name(s) for s in config.subspaces))
     lines.append(f"cutoff = {config.cutoff}")
     lines.append(f"eigenpairs = {config.requested_eigenpairs}")
     lines.append(f"tail_fraction = {config.tail_fraction!r}")
@@ -247,16 +240,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         params = ModelParams(args.omega0, args.omega, args.g2)
         if args.count < 1:
             raise ValueError(f"count must be >= 1, got {args.count}")
-        if args.subspace == "full":
-            matrix = build_full_fock(params, args.cutoff)
-            pairs = solve_hermitian(matrix, min(args.count, matrix.dimension))
-            qubit_dim = 2
-        else:
-            label = SubspaceLabel.from_name(args.subspace)
-            tridiag = build_subspace_tridiagonal(label, params, args.cutoff)
-            pairs = solve_tridiagonal(tridiag, min(args.count, args.cutoff))
-            qubit_dim = 1
-        filtered = convergence_filter(pairs, args.tail_fraction, args.tol, qubit_dim)
+        filtered = solve_point(
+            params,
+            subspace_from_name(args.subspace),
+            args.cutoff,
+            args.count,
+            args.tail_fraction,
+            args.tol,
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -280,7 +271,6 @@ def sweep_csv(result) -> str:
     )
     lines = [header]
     for row in result.rows:
-        name = row.subspace if isinstance(row.subspace, str) else row.subspace.name
         energies = [_fmt(e) for e in row.energies] + [""] * (k - len(row.energies))
         lines.append(
             ",".join(
@@ -289,7 +279,7 @@ def sweep_csv(result) -> str:
                     _fmt(row.omega),
                     _fmt(row.g2),
                     str(row.cutoff),
-                    name,
+                    subspace_name(row.subspace),
                     str(row.converged_count),
                     str(int(row.collapsed)),
                 ]
@@ -305,8 +295,7 @@ def _sweep_summary(result) -> str:
     for w0 in config.omega0_grid:
         for w in config.omega_grid:
             for sub in config.subspaces:
-                name = sub if isinstance(sub, str) else sub.name
-                prefix = f"omega0={_fmt(w0)} omega={_fmt(w)} subspace={name}:"
+                prefix = f"omega0={_fmt(w0)} omega={_fmt(w)} subspace={subspace_name(sub)}:"
                 try:
                     estimate = detect_collapse(result, w0, w, sub)
                 except ValueError as exc:
@@ -328,14 +317,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             text = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read config {args.config!r}: {exc}") from None
-    config = parse_sweep_config(text)
-
-    try:
-        result = run_sweep(config)
-    except ValueError as exc:
-        # only pre-flight problems surface here (worker env); per-point
-        # solver failures are captured as failure-marked rows instead
-        raise UsageError(str(exc)) from None
+    result = run_sweep(parse_sweep_config(text))
     csv_text = sweep_csv(result)
     summary = _sweep_summary(result)
     if args.out is None:
@@ -364,16 +346,8 @@ def _oracle_alignment(cutoff: int, rng: np.random.Generator) -> float:
     worst = 0.0
     for omega0, omega, g2 in points:
         params = ModelParams(omega0, omega, g2)
-        full_matrix = build_full_fock(params, 2 * cutoff)
-        full = convergence_filter(
-            solve_hermitian(full_matrix, full_matrix.dimension), qubit_dim=2
-        )
-        subs = [
-            convergence_filter(
-                solve_tridiagonal(build_subspace_tridiagonal(lbl, params, cutoff), cutoff)
-            )
-            for lbl in ALL_SUBSPACES
-        ]
+        full = solve_point(params, "full", 2 * cutoff, 4 * cutoff)  # every eigenpair
+        subs = [solve_point(params, lbl, cutoff, cutoff) for lbl in ALL_SUBSPACES]
         union = np.sort(np.concatenate([s.converged_values for s in subs]))
         reference = full.converged_values
         # a single constant must map the union onto the full spectrum; anchor
@@ -398,9 +372,7 @@ def _oracle_degenerate(cutoff: int) -> float:
         params = ModelParams(0.0, 0.45, g2)
         data = classify_regime(params)
         for label in ALL_SUBSPACES:
-            tridiag = build_subspace_tridiagonal(label, params, 8 * cutoff)
-            filtered = convergence_filter(solve_tridiagonal(tridiag, 12))
-            values = filtered.converged_values[:5]
+            values = solve_point(params, label, 8 * cutoff, 12).converged_values[:5]
             if len(values) < 5:
                 return float("inf")
             exact = degenerate_energies(data.alpha_plus, data.alpha_minus, label.bargmann_q, 5)

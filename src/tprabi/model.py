@@ -10,6 +10,7 @@ diagonalizing in the qubit basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -79,6 +80,18 @@ ALL_SUBSPACES = (
     SubspaceLabel(0.75, 1),
     SubspaceLabel(0.75, -1),
 )
+
+Subspace = Union[SubspaceLabel, str]  # a sector label or the literal "full"
+
+
+def subspace_name(subspace: Subspace) -> str:
+    """Config and CSV name of a subspace: a sector name such as "q14+", or "full"."""
+    return subspace if isinstance(subspace, str) else subspace.name
+
+
+def subspace_from_name(name: str) -> Subspace:
+    """Inverse of subspace_name; raises ValueError for an unknown name."""
+    return name if name == "full" else SubspaceLabel.from_name(name)
 
 
 @dataclass(frozen=True)

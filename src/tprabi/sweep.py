@@ -8,7 +8,6 @@ for the spectrum turning continuous.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -17,18 +16,19 @@ import numpy as np
 from .analytic import critical_coupling
 from .model import (
     ModelParams,
+    Subspace,
     SubspaceLabel,
     build_full_fock,
     build_subspace_tridiagonal,
+    subspace_name,
 )
 from .solver import (
     EigenPair,
+    FilteredSpectrum,
     convergence_filter,
     solve_hermitian,
     solve_tridiagonal,
 )
-
-Subspace = Union[SubspaceLabel, str]  # a label or the literal "full"
 
 FAILURE_COUNT = -1  # converged_count marker for rows whose solve failed
 
@@ -79,6 +79,8 @@ class SweepConfig:
         object.__setattr__(self, "subspaces", tuple(self.subspaces))
         if not self.omega0_grid or not self.omega_grid:
             raise ValueError("omega0 and omega grids must be non-empty")
+        if isinstance(self.coupling_spec, RelativeComb) and min(self.omega_grid) <= 0:
+            raise ValueError("a relative coupling comb needs every omega > 0")
         if isinstance(self.coupling_spec, tuple) and not self.coupling_spec:
             raise ValueError("coupling list must be non-empty")
         if not self.subspaces:
@@ -145,7 +147,7 @@ class SweepResult:
             if len(present) > 1:
                 raise ValueError(
                     f"slice holds {len(present)} subspaces, pass one of "
-                    f"{sorted(_subspace_name(s) for s in present)}"
+                    f"{sorted(subspace_name(s) for s in present)}"
                 )
         else:
             rows = [r for r in rows if r.subspace == subspace]
@@ -169,50 +171,54 @@ class ExceptionalState:
     overlap: float
 
 
-def _subspace_name(subspace: Subspace) -> str:
-    return subspace if isinstance(subspace, str) else subspace.name
+def solve_point(
+    params: ModelParams,
+    subspace: Subspace,
+    cutoff: int,
+    k: int,
+    tail_fraction: float = 0.2,
+    tolerance: float = 1e-6,
+) -> FilteredSpectrum:
+    """Build one sector (or the full model), solve its k lowest eigenpairs and
+    judge them with the tail-norm filter.
+
+    k is clamped to the matrix dimension. Sector ladders hold cutoff levels;
+    the full model holds cutoff Fock levels per qubit state.
+    """
+    if subspace == "full":
+        matrix = build_full_fock(params, cutoff)
+        pairs = solve_hermitian(matrix, min(k, matrix.dimension))
+        qubit_dim = matrix.qubit_dim
+    else:
+        tridiag = build_subspace_tridiagonal(subspace, params, cutoff)
+        pairs = solve_tridiagonal(tridiag, min(k, tridiag.dimension))
+        qubit_dim = 1
+    return convergence_filter(pairs, tail_fraction, tolerance, qubit_dim)
 
 
 def _solve_point(
-    omega0: float,
-    omega: float,
-    g2: float,
-    subspace: Subspace,
-    cutoff: int,
-    eigenpairs: int,
-    tail_fraction: float,
-    tolerance: float,
+    config: SweepConfig, omega0: float, omega: float, g2: float, subspace: Subspace
 ) -> SweepRow:
     base = dict(
         omega0=omega0,
         omega=omega,
         g2=g2,
         subspace=subspace,
-        cutoff=cutoff,
-        eigenpairs=eigenpairs,
-        tail_fraction=tail_fraction,
-        tolerance=tolerance,
+        cutoff=config.cutoff,
+        eigenpairs=config.requested_eigenpairs,
+        tail_fraction=config.tail_fraction,
+        tolerance=config.tolerance,
     )
     try:
-        params = ModelParams(omega0, omega, g2)
-        if subspace == "full":
-            matrix = build_full_fock(params, cutoff)
-            pairs = solve_hermitian(matrix, min(eigenpairs, matrix.dimension))
-            qubit_dim = 2
-        else:
-            tridiag = build_subspace_tridiagonal(subspace, params, cutoff)
-            pairs = solve_tridiagonal(tridiag, min(eigenpairs, cutoff))
-            qubit_dim = 1
-        filtered = convergence_filter(pairs, tail_fraction, tolerance, qubit_dim)
-        count = filtered.converged_count
-        return SweepRow(
-            converged_count=count,
-            energies=tuple(float(v) for v in filtered.converged_values),
-            collapsed=count <= 1,
-            exceptional=count == 1,
-            **base,
+        filtered = solve_point(
+            ModelParams(omega0, omega, g2),
+            subspace,
+            config.cutoff,
+            config.requested_eigenpairs,
+            config.tail_fraction,
+            config.tolerance,
         )
-    except Exception as exc:  # recorded per-row, the sweep never aborts
+    except (ValueError, np.linalg.LinAlgError) as exc:  # numerical failures become rows
         return SweepRow(
             converged_count=FAILURE_COUNT,
             energies=(),
@@ -221,58 +227,29 @@ def _solve_point(
             error=f"{type(exc).__name__}: {exc}",
             **base,
         )
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("RABI_THREADS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"RABI_THREADS must be a positive integer, got {raw!r}")
-    return workers
+    count = filtered.converged_count
+    return SweepRow(
+        converged_count=count,
+        energies=tuple(float(v) for v in filtered.converged_values),
+        collapsed=count <= 1,
+        exceptional=count == 1,
+        **base,
+    )
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Solve and filter every grid point of the survey.
 
-    Rows are ordered lexicographically by (omega0, omega, g2, subspace)
-    regardless of how the work is scheduled; RABI_THREADS > 1 spreads the
-    independent grid points over a thread pool.
+    Rows are ordered lexicographically by (omega0, omega, g2, subspace).
     """
-    tasks = [
-        (w0, w, float(g), sub)
+    rows = tuple(
+        _solve_point(config, w0, w, float(g), sub)
         for w0 in config.omega0_grid
         for w in config.omega_grid
         for g in config.couplings_for(w)
         for sub in config.subspaces
-    ]
-
-    def solve(task):
-        w0, w, g, sub = task
-        return _solve_point(
-            w0,
-            w,
-            g,
-            sub,
-            config.cutoff,
-            config.requested_eigenpairs,
-            config.tail_fraction,
-            config.tolerance,
-        )
-
-    workers = _worker_count()
-    if workers == 1:
-        rows = [solve(t) for t in tasks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(solve, tasks))
-    return SweepResult(config, tuple(rows))
+    )
+    return SweepResult(config, rows)
 
 
 def detect_collapse(
@@ -317,23 +294,16 @@ def exceptional_state(row: SweepRow) -> ExceptionalState:
     if row.error is not None or not row.exceptional:
         raise ValueError("row is not flagged exceptional")
 
-    def pairs_at(g2: float, k: int):
-        params = ModelParams(row.omega0, row.omega, g2)
-        if row.subspace == "full":
-            matrix = build_full_fock(params, row.cutoff)
-            return solve_hermitian(matrix, min(k, matrix.dimension)), 2
-        tridiag = build_subspace_tridiagonal(row.subspace, params, row.cutoff)
-        return solve_tridiagonal(tridiag, min(k, row.cutoff)), 1
-
-    pairs, qubit_dim = pairs_at(row.g2, row.eigenpairs)
-    filtered = convergence_filter(pairs, row.tail_fraction, row.tolerance, qubit_dim)
-    survivors = filtered.converged_pairs
+    params = ModelParams(row.omega0, row.omega, row.g2)
+    survivors = solve_point(
+        params, row.subspace, row.cutoff, row.eigenpairs, row.tail_fraction, row.tolerance
+    ).converged_pairs
     if len(survivors) != 1:
         raise ValueError(
             f"re-solve found {len(survivors)} converged pairs, expected exactly 1"
         )
     lone = survivors[0]
-    ground_pairs, _ = pairs_at(0.98 * critical_coupling(row.omega), 1)
-    ground = ground_pairs[0]
+    near = ModelParams(row.omega0, row.omega, 0.98 * critical_coupling(row.omega))
+    ground = solve_point(near, row.subspace, row.cutoff, 1).pairs[0]
     overlap = float(abs(np.vdot(lone.vector, ground.vector)))
     return ExceptionalState(lone, overlap)

@@ -227,21 +227,11 @@ class TestSweepCommand:
         code, _, err = run_cli(["sweep", str(config)], capsys)
         assert code == 2 and "cutoff" in err
 
-    def test_invalid_thread_env_exits_two(self, tmp_path, capsys, monkeypatch):
+    def test_relative_comb_at_zero_omega_exits_two(self, tmp_path, capsys):
         config = tmp_path / "survey.cfg"
-        config.write_text(GOOD_CONFIG.replace("1024", "64"))
-        monkeypatch.setenv("RABI_THREADS", "abc")
-        code, _, err = run_cli(["sweep", str(config)], capsys)
-        assert code == 2 and "RABI_THREADS" in err
-
-    def test_thread_env_keeps_output_identical(self, tmp_path, capsys, monkeypatch):
-        config = tmp_path / "survey.cfg"
-        config.write_text(GOOD_CONFIG.replace("1024", "128"))
-        monkeypatch.delenv("RABI_THREADS", raising=False)
-        serial = run_cli(["sweep", str(config)], capsys)
-        monkeypatch.setenv("RABI_THREADS", "4")
-        threaded = run_cli(["sweep", str(config)], capsys)
-        assert serial == threaded
+        config.write_text(GOOD_CONFIG.replace("omega = 0.5", "omega = 0"))
+        code, out, err = run_cli(["sweep", str(config)], capsys)
+        assert code == 2 and out == "" and "omega" in err
 
 
 class TestOracleCommand:

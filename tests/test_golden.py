@@ -1,0 +1,84 @@
+"""Byte-for-byte CLI output on a fixed set of commands.
+
+Each case runs one ``tprabi`` command and compares everything it writes
+(stdout, and the ``--out`` file when there is one) with the files under
+``tests/golden/``. Refactors must keep these bytes; a change that means to
+alter output rewrites the files with ``python tests/test_golden.py`` and
+says why.
+
+The commands run in a child process with BLAS held to one thread: the dense
+full-model solve moves last digits with the BLAS thread count, so the bytes
+are only defined for a fixed count.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+import tprabi
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (argv, whether the command writes its table through --out)
+CASES = {
+    "sweep_mixed": (["sweep", str(GOLDEN / "mixed_sweep.cfg")], True),
+    "spectrum_q14p": (
+        "spectrum --omega0 1 --omega 0.5 --g2 0.24 --cutoff 256 --subspace q14+".split(),
+        False,
+    ),
+    "spectrum_full": (
+        "spectrum --omega0 1 --omega 0.5 --g2 0.2 --cutoff 128 --subspace full"
+        " --count 30 --tail-fraction 0.3 --tol 1e-8".split(),
+        False,
+    ),
+    "modes_harmonic": (
+        "modes --omega 0.5 --g2 0.1 --subspace q14+ --level 1 --cutoff 256"
+        " --points 101".split(),
+        False,
+    ),
+    "modes_free": (
+        "modes --omega 0.45 --g2 0.225 --subspace q34+ --cutoff 512 --points 101".split(),
+        False,
+    ),
+    "oracle_seed7": (["oracle", "--seed", "7"], False),
+}
+
+
+def render(name: str) -> dict[str, bytes]:
+    """Stdout and --out file of one case, keyed by golden file name."""
+    argv, writes_file = CASES[name]
+    src = str(Path(tprabi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tprabi", *argv, *(["--out", str(out)] if writes_file else [])],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 0, f"{name} exited {proc.returncode}: {proc.stderr!r}"
+        files = {f"{name}.stdout": proc.stdout}
+        if writes_file:
+            files[f"{name}.csv"] = out.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden_bytes(name):
+    for filename, produced in render(name).items():
+        assert produced == (GOLDEN / filename).read_bytes(), filename
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        for filename, produced in render(case).items():
+            (GOLDEN / filename).write_bytes(produced)

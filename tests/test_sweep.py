@@ -5,18 +5,26 @@ import dataclasses
 import numpy as np
 import pytest
 
+import tprabi.sweep
 from tprabi import (
     FAILURE_COUNT,
     CollapseEstimate,
+    ModelParams,
     RelativeComb,
     SubspaceLabel,
     SweepConfig,
     SweepResult,
     SweepRow,
+    build_full_fock,
+    build_subspace_tridiagonal,
+    convergence_filter,
     detect_collapse,
     exceptional_state,
     refine_comb,
     run_sweep,
+    solve_hermitian,
+    solve_point,
+    solve_tridiagonal,
 )
 
 Q14P = SubspaceLabel(0.25, 1)
@@ -100,6 +108,13 @@ class TestSweepConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             SweepConfig(**base)
+
+    def test_relative_comb_needs_positive_omega(self):
+        comb = RelativeComb(steps=4, lo=0.0, hi=2.0)
+        with pytest.raises(ValueError, match="omega > 0"):
+            SweepConfig((1.0,), (0.5, 0.0), comb, (Q14P,), 64)
+        # absolute couplings leave omega = 0 to the per-row solve
+        assert SweepConfig((1.0,), (0.0,), (0.1,), (Q14P,), 64).omega_grid == (0.0,)
 
     def test_full_subspace_accepted(self):
         config = SweepConfig((1.0,), (0.5,), (0.1,), ("full", Q14P), 64)
@@ -211,21 +226,13 @@ class TestRunSweep:
         assert not bad.collapsed and not bad.exceptional
         assert good.error is None and good.converged_count >= 0
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        config = SweepConfig(
-            (1.0,), (0.5,), (0.05, 0.1, 0.2), (Q14P, Q34P), 128, requested_eigenpairs=6
-        )
-        monkeypatch.delenv("RABI_THREADS", raising=False)
-        serial = run_sweep(config)
-        monkeypatch.setenv("RABI_THREADS", "3")
-        threaded = run_sweep(config)
-        assert serial.rows == threaded.rows
+    def test_programming_errors_are_not_failure_rows(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a builder")
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
-    def test_invalid_thread_setting(self, monkeypatch, raw):
+        monkeypatch.setattr(tprabi.sweep, "build_subspace_tridiagonal", broken)
         config = SweepConfig((1.0,), (0.5,), (0.1,), (Q14P,), 64)
-        monkeypatch.setenv("RABI_THREADS", raw)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="bug in a builder"):
             run_sweep(config)
 
     def test_degenerate_critical_point_loses_every_state(self):
@@ -236,6 +243,31 @@ class TestRunSweep:
         assert before.converged_count == 25
         assert at.converged_count == 0
         assert at.collapsed and not at.exceptional
+
+
+class TestSolvePoint:
+    @pytest.mark.parametrize(
+        "subspace,tail_fraction,tolerance", [(Q34P, 0.2, 1e-6), ("full", 0.3, 1e-8)]
+    )
+    def test_matches_build_solve_filter(self, subspace, tail_fraction, tolerance):
+        params = ModelParams(1.0, 0.5, 0.2)
+        if subspace == "full":
+            pairs = solve_hermitian(build_full_fock(params, 128), 30)
+            expected = convergence_filter(pairs, tail_fraction, tolerance, qubit_dim=2)
+        else:
+            pairs = solve_tridiagonal(build_subspace_tridiagonal(subspace, params, 128), 30)
+            expected = convergence_filter(pairs, tail_fraction, tolerance)
+        got = solve_point(params, subspace, 128, 30, tail_fraction, tolerance)
+        assert 0 < got.converged_count < 30
+        assert [p.value for p in got.pairs] == [p.value for p in expected.pairs]
+        assert [p.tail_norm for p in got.pairs] == [p.tail_norm for p in expected.pairs]
+        assert [p.converged for p in got.pairs] == [p.converged for p in expected.pairs]
+        assert (got.cutoff, got.tail_fraction, got.tolerance) == (128, tail_fraction, tolerance)
+
+    def test_k_clamped_to_dimension(self):
+        params = ModelParams(1.0, 0.5, 0.1)
+        assert len(solve_point(params, Q14P, 64, 500).pairs) == 64
+        assert len(solve_point(params, "full", 64, 500).pairs) == 128
 
 
 class TestRefineIntegration:
