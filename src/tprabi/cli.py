@@ -36,7 +36,7 @@ from .model import (
     subspace_from_name,
     subspace_name,
 )
-from .solver import solve_hermitian, solve_tridiagonal
+from .solver import convergence_filter, solve_hermitian, solve_tridiagonal
 from .sweep import (
     RelativeComb,
     SweepConfig,
@@ -346,7 +346,10 @@ def _oracle_alignment(cutoff: int, rng: np.random.Generator) -> float:
     worst = 0.0
     for omega0, omega, g2 in points:
         params = ModelParams(omega0, omega, g2)
-        full = solve_point(params, "full", 2 * cutoff, 4 * cutoff)  # every eigenpair
+        # every eigenpair of the unsplit matrix: solve_point's chains are the sectors
+        full = convergence_filter(
+            solve_hermitian(build_full_fock(params, 2 * cutoff), 4 * cutoff), qubit_dim=2
+        )
         subs = [solve_point(params, lbl, cutoff, cutoff) for lbl in ALL_SUBSPACES]
         union = np.sort(np.concatenate([s.converged_values for s in subs]))
         reference = full.converged_values
@@ -558,7 +561,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:
+    except (SpectralCollapseError, OSError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -177,6 +177,10 @@ class HermitianMatrix:
         return out + np.triu(out.conj().T, 1)
 
 
+# interleaved indices 2n + s of a block of the full model, and the block
+Chain = tuple[np.ndarray, TridiagonalMatrix]
+
+
 def _check_cutoff(cutoff: int, minimum: int) -> None:
     if not isinstance(cutoff, (int, np.integer)) or isinstance(cutoff, bool):
         raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
@@ -224,6 +228,23 @@ def build_full_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
         band[5, 0 : 2 * (N - 2) : 2] = pair
         band[3, 1 : 2 * (N - 2) : 2] = pair
     return _package(band, qubit_dim=2)
+
+
+def full_fock_chains(params: ModelParams, cutoff: int) -> list[Chain]:
+    """build_full_fock split into its four parity chains: the coupling joins
+    only |n, s> and |n+2, flip(s)>, so the chain started at |n0, s0> visits
+    n = n0, n0+2, ... with alternating s. Ordered by (n0, s0) = (0, 0),
+    (0, 1), (1, 0), (1, 1)."""
+    _check_cutoff(cutoff, 2)
+    chains = []
+    for n0 in (0, 1):
+        n = np.arange(n0, cutoff, 2)
+        for s0 in (0, 1):
+            s = (s0 + np.arange(len(n))) % 2
+            diag = params.omega * n + np.where(s == 0, 0.5, -0.5) * params.omega0
+            offdiag = params.g2 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
+            chains.append((2 * n + s, TridiagonalMatrix(diag, offdiag)))
+    return chains
 
 
 def build_phase_space(params: ModelParams, cutoff: int) -> HermitianMatrix:

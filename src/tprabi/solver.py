@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .model import HermitianMatrix, TridiagonalMatrix
+from .model import Chain, HermitianMatrix, TridiagonalMatrix
 
 _SIGNIFICANT = 1e-8  # amplitude magnitude that fixes the canonical sign
 
@@ -132,6 +132,26 @@ def solve_tridiagonal(matrix: TridiagonalMatrix, k: int) -> list[EigenPair]:
         matrix.diag, matrix.offdiag, select="i", select_range=(0, k - 1)
     )
     return _to_pairs(values, vectors, qubit_dim=1)
+
+
+def solve_chains(chains: Sequence[Chain], k: int) -> list[EigenPair]:
+    """k lowest eigenpairs of a qubit (x) Fock matrix split into tridiagonal
+    chains whose indices partition its own (model.full_fock_chains); chain
+    vectors are scattered back, so the pairs are the unsplit matrix's."""
+    dim = sum(chain.dimension for _, chain in chains)
+    if not 1 <= k <= dim:
+        raise ValueError(f"k must be in [1, {dim}], got {k}")
+    values, vectors = [], []
+    for indices, chain in chains:
+        take = min(k, chain.dimension)
+        vals, vecs = scipy.linalg.eigh_tridiagonal(
+            chain.diag, chain.offdiag, select="i", select_range=(0, take - 1)
+        )
+        full = np.zeros((dim, take))
+        full[indices] = vecs
+        values.append(vals)
+        vectors.append(full)
+    return _to_pairs(np.concatenate(values), np.hstack(vectors), qubit_dim=2)[:k]
 
 
 def solve_hermitian(matrix: HermitianMatrix, k: int) -> list[EigenPair]:

@@ -18,15 +18,15 @@ from .model import (
     ModelParams,
     Subspace,
     SubspaceLabel,
-    build_full_fock,
     build_subspace_tridiagonal,
+    full_fock_chains,
     subspace_name,
 )
 from .solver import (
     EigenPair,
     FilteredSpectrum,
     convergence_filter,
-    solve_hermitian,
+    solve_chains,
     solve_tridiagonal,
 )
 
@@ -186,9 +186,8 @@ def solve_point(
     the full model holds cutoff Fock levels per qubit state.
     """
     if subspace == "full":
-        matrix = build_full_fock(params, cutoff)
-        pairs = solve_hermitian(matrix, min(k, matrix.dimension))
-        qubit_dim = matrix.qubit_dim
+        pairs = solve_chains(full_fock_chains(params, cutoff), min(k, 2 * cutoff))
+        qubit_dim = 2
     else:
         tridiag = build_subspace_tridiagonal(subspace, params, cutoff)
         pairs = solve_tridiagonal(tridiag, min(k, tridiag.dimension))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tprabi.cli
 from tprabi import RelativeComb, SubspaceLabel, SweepConfig
 from tprabi.cli import main, parse_sweep_config, serialize_sweep_config
 
@@ -220,6 +221,17 @@ class TestSweepCommand:
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(["sweep", "/nonexistent/sweep.cfg"], capsys)
         assert code == 2 and "cannot read config" in err
+
+    def test_programming_errors_propagate(self, tmp_path, monkeypatch):
+        # only expected runtime failures become exit 1; a bug keeps its traceback
+        def broken(config):
+            raise TypeError("bug in the sweep")
+
+        monkeypatch.setattr(tprabi.cli, "run_sweep", broken)
+        config = tmp_path / "survey.cfg"
+        config.write_text(GOOD_CONFIG)
+        with pytest.raises(TypeError, match="bug in the sweep"):
+            main(["sweep", str(config)])
 
     def test_config_error_exits_two(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

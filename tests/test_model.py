@@ -17,6 +17,7 @@ from tprabi import (
     build_phase_space,
     build_rotated_fock,
     build_subspace_tridiagonal,
+    full_fock_chains,
     solve_hermitian,
 )
 
@@ -119,6 +120,32 @@ class TestFullFock:
         small = build_full_fock(params, 512 - 480)
         sub = big.to_dense()[: small.dimension, : small.dimension]
         assert np.array_equal(sub, small.to_dense())
+
+
+class TestFullFockChains:
+    @pytest.mark.parametrize("omega0", [0.0, 1.0])
+    @pytest.mark.parametrize("cutoff", [2, 3, 4, 5, 64, 1025])
+    def test_chains_scatter_to_full_matrix(self, cutoff, omega0):
+        params = ModelParams(omega0, 0.5, 0.2)
+        chains = full_fock_chains(params, cutoff)
+        assert len(chains) == 4
+        indices = np.concatenate([idx for idx, _ in chains])
+        assert np.array_equal(np.sort(indices), np.arange(2 * cutoff))
+        dense = np.zeros((2 * cutoff, 2 * cutoff))
+        for idx, chain in chains:
+            dense[idx, idx] = chain.diag
+            dense[idx[1:], idx[:-1]] = chain.offdiag
+            dense[idx[:-1], idx[1:]] = chain.offdiag
+        assert np.array_equal(dense, build_full_fock(params, cutoff).to_dense())
+
+    @pytest.mark.parametrize("cutoff,lengths", [(2, [1, 1, 1, 1]), (5, [3, 3, 2, 2])])
+    def test_chain_lengths(self, cutoff, lengths):
+        chains = full_fock_chains(ModelParams(1.0, 0.5, 0.2), cutoff)
+        assert [chain.dimension for _, chain in chains] == lengths
+
+    def test_cutoff_minimum(self):
+        with pytest.raises(ValueError):
+            full_fock_chains(ModelParams(1.0, 1.0, 0.1), 1)
 
 
 class TestPhaseSpace:

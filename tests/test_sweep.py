@@ -1,6 +1,7 @@
 """Coupling-comb surveys, collapse detection, and the exceptional state."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tprabi import (
     convergence_filter,
     detect_collapse,
     exceptional_state,
+    full_fock_chains,
     refine_comb,
     run_sweep,
     solve_hermitian,
@@ -245,18 +247,28 @@ class TestRunSweep:
         assert at.collapsed and not at.exceptional
 
 
+def unsplit_reference(params, cutoff, k, tail_fraction=0.2, tolerance=1e-6):
+    """The full model solved without the chain split (dense or banded)."""
+    matrix = build_full_fock(params, cutoff)
+    pairs = solve_hermitian(matrix, min(k, matrix.dimension))
+    return convergence_filter(pairs, tail_fraction, tolerance, qubit_dim=2)
+
+
+def values_of(spectrum):
+    return np.array([p.value for p in spectrum.pairs])
+
+
+def assert_values_close(got, ref):
+    values = values_of(ref)
+    assert np.all(np.abs(values_of(got) - values) <= 1e-12 * np.maximum(1.0, np.abs(values)))
+
+
 class TestSolvePoint:
-    @pytest.mark.parametrize(
-        "subspace,tail_fraction,tolerance", [(Q34P, 0.2, 1e-6), ("full", 0.3, 1e-8)]
-    )
+    @pytest.mark.parametrize("subspace,tail_fraction,tolerance", [(Q34P, 0.2, 1e-6)])
     def test_matches_build_solve_filter(self, subspace, tail_fraction, tolerance):
         params = ModelParams(1.0, 0.5, 0.2)
-        if subspace == "full":
-            pairs = solve_hermitian(build_full_fock(params, 128), 30)
-            expected = convergence_filter(pairs, tail_fraction, tolerance, qubit_dim=2)
-        else:
-            pairs = solve_tridiagonal(build_subspace_tridiagonal(subspace, params, 128), 30)
-            expected = convergence_filter(pairs, tail_fraction, tolerance)
+        pairs = solve_tridiagonal(build_subspace_tridiagonal(subspace, params, 128), 30)
+        expected = convergence_filter(pairs, tail_fraction, tolerance)
         got = solve_point(params, subspace, 128, 30, tail_fraction, tolerance)
         assert 0 < got.converged_count < 30
         assert [p.value for p in got.pairs] == [p.value for p in expected.pairs]
@@ -268,6 +280,63 @@ class TestSolvePoint:
         params = ModelParams(1.0, 0.5, 0.1)
         assert len(solve_point(params, Q14P, 64, 500).pairs) == 64
         assert len(solve_point(params, "full", 64, 500).pairs) == 128
+
+
+class TestFullChainSolve:
+    """solve_point(..., "full", ...) splits the model into four parity chains;
+    the unsplit banded/dense solve is the reference."""
+
+    @pytest.mark.parametrize(
+        "cutoff,k,tail_fraction,tolerance",
+        [
+            (128, 30, 0.3, 1e-8),
+            (128, 30, 0.2, 1e-6),
+            (129, 30, 0.2, 1e-6),  # odd cutoff: even-n chains one longer
+            (2, 30, 0.2, 1e-6),  # chains of length 1
+            (3, 30, 0.2, 1e-6),
+            (64, 128, 0.2, 1e-6),  # every eigenpair, as the oracle asks
+        ],
+    )
+    def test_matches_unsplit_solve(self, cutoff, k, tail_fraction, tolerance):
+        params = ModelParams(1.0, 0.5, 0.2)
+        got = solve_point(params, "full", cutoff, k, tail_fraction, tolerance)
+        ref = unsplit_reference(params, cutoff, k, tail_fraction, tolerance)
+        assert len(got.pairs) == len(ref.pairs) == min(k, 2 * cutoff)
+        assert_values_close(got, ref)
+        assert [p.converged for p in got.pairs] == [p.converged for p in ref.pairs]
+        gaps = np.diff(values_of(ref))
+        isolated = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) > 1e-8
+        assert isolated.sum() >= len(gaps) // 2
+        for a, b, alone in zip(got.pairs, ref.pairs, isolated):
+            if alone:
+                assert abs(np.vdot(a.vector, b.vector)) > 1 - 1e-10
+        assert (got.cutoff, got.tail_fraction, got.tolerance) == (cutoff, tail_fraction, tolerance)
+
+    def test_degenerate_qubit_levels_keep_parity(self):
+        # at omega0 = 0 the chains pair up into equal spectra, so the
+        # eigenvector basis inside each level is arbitrary; every vector
+        # still lies on one chain, a state of definite parity
+        params = ModelParams(0.0, 0.5, 0.2)
+        got = solve_point(params, "full", 128, 30)
+        ref = unsplit_reference(params, 128, 30)
+        assert_values_close(got, ref)
+        assert got.converged_count == ref.converged_count
+        chains = [idx for idx, _ in full_fock_chains(params, 128)]
+        for pair in got.pairs:
+            occupied = [np.any(pair.vector[idx] != 0) for idx in chains]
+            assert sum(occupied) == 1
+
+    def test_memory_stays_bounded_at_large_cutoff(self):
+        # the unsplit banded solve would build a dense Q of 16384^2 doubles
+        # (2 GB); the chains need four small eigenvector blocks
+        tracemalloc.start()
+        try:
+            got = solve_point(ModelParams(1.0, 0.5, 0.2), "full", 8192, 25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert got.converged_count == 25
 
 
 class TestRefineIntegration:
