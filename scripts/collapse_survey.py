@@ -8,12 +8,14 @@ Typical runs:
 
 import argparse
 import sys
+from functools import partial
 
 from tprabi import (
     RelativeComb,
     SubspaceLabel,
     SweepConfig,
     detect_collapse,
+    locate_collapse,
     run_sweep,
 )
 from tprabi.cli import sweep_csv
@@ -41,16 +43,18 @@ def main(argv=None):
         cutoff=args.cutoff,
         requested_eigenpairs=args.eigenpairs,
     )
-    result = run_sweep(config)
-
+    # without a table to write, each slice's estimate bisects its comb
+    estimate_for = partial(locate_collapse, config)
     if args.out is not None:
+        result = run_sweep(config)
         with open(args.out, "w", newline="") as handle:
             handle.write(sweep_csv(result))
         print(f"wrote {len(result.rows)} rows to {args.out}")
+        estimate_for = partial(detect_collapse, result)
 
     for omega0 in config.omega0_grid:
         for omega in config.omega_grid:
-            estimate = detect_collapse(result, omega0, omega)
+            estimate = estimate_for(omega0, omega)
             label = f"omega0={omega0:g} omega={omega:g}"
             if estimate.found:
                 print(

@@ -1,6 +1,8 @@
 """Two-stage estimate of the critical coupling: a coarse comb over [0, 2] g_c
 followed by a 200-point comb over a +-2% window around the first hit.
 
+Both stages bisect their comb with locate_collapse (about ten solves each).
+
     python scripts/refine_critical.py --omega0 1 --omega 0.5 --cutoff 1024
 """
 
@@ -11,9 +13,8 @@ from tprabi import (
     RelativeComb,
     SubspaceLabel,
     SweepConfig,
-    detect_collapse,
+    locate_collapse,
     refine_comb,
-    run_sweep,
 )
 
 
@@ -36,14 +37,13 @@ def main(argv=None):
         subspaces=(SubspaceLabel.from_name(args.subspace),),
         cutoff=args.cutoff,
     )
-    coarse = detect_collapse(run_sweep(config), args.omega0, args.omega)
+    coarse = locate_collapse(config, args.omega0, args.omega)
     if not coarse.found:
         print("no collapse inside the coarse comb; widen it or raise the cutoff")
         return 1
     print(f"coarse:  g_c ~= {coarse.coupling:.8g} +- {coarse.step:.2g}")
 
-    refined_config = refine_comb(config, coarse.coupling)
-    refined = detect_collapse(run_sweep(refined_config), args.omega0, args.omega)
+    refined = locate_collapse(refine_comb(config, coarse.coupling), args.omega0, args.omega)
     if not refined.found:
         # the fine window can sit entirely past the drop; report the coarse hit
         print("refined comb saw no count drop; the coarse estimate stands")

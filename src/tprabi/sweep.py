@@ -3,13 +3,14 @@ exceptional state at the critical point.
 
 A sweep solves and filters every grid point; collapse is operationalized as
 the converged-state count dropping to at most one, a truncated-basis proxy
-for the spectrum turning continuous.
+for the spectrum turning continuous. locate_collapse finds the same point by
+bisecting the comb instead of solving all of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -143,15 +144,18 @@ class SweepResult:
     ) -> list[SweepRow]:
         rows = [r for r in self.rows if r.omega0 == omega0 and r.omega == omega]
         if subspace is None:
-            present = {r.subspace for r in rows}
-            if len(present) > 1:
-                raise ValueError(
-                    f"slice holds {len(present)} subspaces, pass one of "
-                    f"{sorted(subspace_name(s) for s in present)}"
-                )
+            _require_one_subspace({r.subspace for r in rows})
         else:
             rows = [r for r in rows if r.subspace == subspace]
         return rows
+
+
+def _require_one_subspace(present: set) -> None:
+    if len(present) > 1:
+        raise ValueError(
+            f"slice holds {len(present)} subspaces, pass one of "
+            f"{sorted(subspace_name(s) for s in present)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -251,6 +255,36 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     return SweepResult(config, rows)
 
 
+def _collapsed(row: SweepRow) -> bool:
+    """The collapse rule: a solved row whose converged count is <= 1.
+
+    Failed rows (converged_count = -1) never count as collapse evidence.
+    """
+    return row.error is None and row.converged_count <= 1
+
+
+def _estimate_at(couplings: Sequence[float], i: int) -> CollapseEstimate:
+    """Collapse at comb point i, with the step to the previous point (the
+    leading step when i is the first point)."""
+    step = couplings[i] - couplings[i - 1] if i > 0 else couplings[1] - couplings[0]
+    return CollapseEstimate(True, couplings[i], step)
+
+
+def _first_collapse(couplings: Sequence[float], rows: Iterable[SweepRow]) -> CollapseEstimate:
+    """Scan rows in comb order and stop at the first collapsed one."""
+    for i, row in enumerate(rows):
+        if _collapsed(row):
+            return _estimate_at(couplings, i)
+    return CollapseEstimate(False)
+
+
+def _check_comb(couplings: Sequence[float]) -> None:
+    if len(couplings) < 2:
+        raise ValueError(f"slice needs >= 2 comb points, got {len(couplings)}")
+    if not all(a < b for a, b in zip(couplings, couplings[1:])):
+        raise ValueError("coupling comb must be strictly increasing")
+
+
 def detect_collapse(
     result: SweepResult,
     omega0: float,
@@ -263,16 +297,77 @@ def detect_collapse(
     The returned step is the local comb spacing at the detection point.
     """
     rows = result.slice_rows(omega0, omega, subspace)
-    if len(rows) < 2:
-        raise ValueError(f"slice needs >= 2 comb points, got {len(rows)}")
     couplings = [r.g2 for r in rows]
-    if not all(a < b for a, b in zip(couplings, couplings[1:])):
-        raise ValueError("coupling comb must be strictly increasing")
-    for i, row in enumerate(rows):
-        if row.error is None and row.converged_count <= 1:
-            step = couplings[i] - couplings[i - 1] if i > 0 else couplings[1] - couplings[0]
-            return CollapseEstimate(True, couplings[i], step)
-    return CollapseEstimate(False)
+    _check_comb(couplings)
+    return _first_collapse(couplings, rows)
+
+
+def _slice_couplings(
+    config: SweepConfig, omega0: float, omega: float, subspace: Optional[Subspace]
+) -> list[float]:
+    """The couplings of the slice run_sweep(config) would hold, validated
+    exactly as detect_collapse validates them."""
+    copies = config.omega0_grid.count(omega0) * config.omega_grid.count(omega)
+    if copies and subspace is None:
+        _require_one_subspace(set(config.subspaces))
+    copies *= len(config.subspaces) if subspace is None else config.subspaces.count(subspace)
+    couplings = [float(g) for g in config.couplings_for(omega)] if copies else []
+    # a grid value listed twice repeats the slice, which is then not increasing
+    _check_comb(couplings * copies)
+    return couplings
+
+
+def locate_collapse(
+    config: SweepConfig,
+    omega0: float,
+    omega: float,
+    subspace: Optional[Subspace] = None,
+) -> CollapseEstimate:
+    """detect_collapse(run_sweep(config), omega0, omega, subspace), found by
+    bisecting comb indices instead of solving every point.
+
+    Each probe is one _solve_point call, cached for the call's lifetime. The
+    search keeps lo uncollapsed and hi collapsed until they are adjacent, so
+    a 201-point comb costs 2 + ceil(log2(200)) = 10 solves. It falls back to
+    the plain first-hit scan, reusing the probed rows, when a probe fails,
+    when the last point has not collapsed, or when the probed counts, read in
+    coupling order, ever rise.
+
+    The answer equals the scan's whenever converged counts never rise along
+    the comb (failed rows aside), as on every shipped config. A dip below two
+    that no probe lands on cannot be seen: with counts 25, 0, 25, 25, 0 the
+    scan reports the second point and this search the last.
+    """
+    couplings = _slice_couplings(config, omega0, omega, subspace)
+    sub = subspace if subspace is not None else config.subspaces[0]
+    probed: dict[int, SweepRow] = {}
+
+    def row(i: int) -> SweepRow:
+        if i not in probed:
+            probed[i] = _solve_point(config, omega0, omega, couplings[i], sub)
+        return probed[i]
+
+    def scan() -> CollapseEstimate:
+        return _first_collapse(couplings, (row(i) for i in range(len(couplings))))
+
+    lo, hi = 0, len(couplings) - 1
+    if _collapsed(row(lo)):
+        return _estimate_at(couplings, lo)
+    if not _collapsed(row(hi)):
+        return scan()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _collapsed(row(mid)):
+            hi = mid
+        else:
+            lo = mid
+    # the bracket only means "first hit" if no probe failed and counts fall
+    seen = [probed[i] for i in sorted(probed)]
+    if any(r.error is not None for r in seen) or any(
+        b.converged_count > a.converged_count for a, b in zip(seen, seen[1:])
+    ):
+        return scan()
+    return _estimate_at(couplings, hi)
 
 
 def refine_comb(config: SweepConfig, center: float) -> SweepConfig:

@@ -41,7 +41,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 COARSE_COMB = RelativeComb(steps=200, lo=0.0, hi=2.0)
 Q14P = SubspaceLabel(0.25, 1)
 
-_SWEEP_CACHE: dict[tuple[float, float], tuple[SweepResult, float]] = {}
+_SWEEP_CACHE: dict[SweepConfig, tuple[SweepResult, float]] = {}
+
+
+def _sweep(config: SweepConfig) -> tuple[SweepResult, float]:
+    """Cached run_sweep(config) with its wall-clock duration in seconds."""
+    if config not in _SWEEP_CACHE:
+        start = time.monotonic()
+        result = run_sweep(config)
+        _SWEEP_CACHE[config] = (result, time.monotonic() - start)
+    return _SWEEP_CACHE[config]
 
 
 def _coarse_slice(omega0: float, omega: float) -> tuple[SweepResult, float]:
@@ -49,21 +58,22 @@ def _coarse_slice(omega0: float, omega: float) -> tuple[SweepResult, float]:
 
     Returns the sweep result and its wall-clock duration in seconds.
     """
-    key = (omega0, omega)
-    if key not in _SWEEP_CACHE:
-        config = SweepConfig(
-            omega0_grid=(omega0,),
-            omega_grid=(omega,),
-            coupling_spec=COARSE_COMB,
-            subspaces=(Q14P,),
-            cutoff=2**10,
-        )
-        start = time.monotonic()
-        result = run_sweep(config)
-        _SWEEP_CACHE[key] = (result, time.monotonic() - start)
-    return _SWEEP_CACHE[key]
+    config = SweepConfig(
+        omega0_grid=(omega0,),
+        omega_grid=(omega,),
+        coupling_spec=COARSE_COMB,
+        subspaces=(Q14P,),
+        cutoff=2**10,
+    )
+    return _sweep(config)
 
 
 @pytest.fixture(scope="session")
 def coarse_sweeps():
     return _coarse_slice
+
+
+@pytest.fixture(scope="session")
+def cached_sweeps():
+    """run_sweep through the session cache that coarse_sweeps also fills."""
+    return lambda config: _sweep(config)[0]

@@ -1,8 +1,8 @@
 """Byte-for-byte CLI output on a fixed set of commands.
 
-Each case runs one ``tprabi`` command and compares everything it writes
-(stdout, and the ``--out`` file when there is one) with the files under
-``tests/golden/``. Refactors must keep these bytes; a change that means to
+Each case runs one ``tprabi`` command or study script and compares
+everything it writes (stdout, and the ``--out`` file when there is one) with
+the files under ``tests/golden/``. Refactors must keep these bytes; a change that means to
 alter output rewrites the files with ``python tests/test_golden.py`` and
 says why.
 
@@ -24,29 +24,39 @@ import pytest
 import tprabi
 
 GOLDEN = Path(__file__).parent / "golden"
+SCRIPTS = Path(__file__).parents[1] / "scripts"
+TPRABI = ["-m", "tprabi"]
 
-# name -> (argv, whether the command writes its table through --out)
+# name -> (interpreter argv, whether the command writes its table through --out)
 CASES = {
-    "sweep_mixed": (["sweep", str(GOLDEN / "mixed_sweep.cfg")], True),
+    "sweep_mixed": ([*TPRABI, "sweep", str(GOLDEN / "mixed_sweep.cfg")], True),
     "spectrum_q14p": (
-        "spectrum --omega0 1 --omega 0.5 --g2 0.24 --cutoff 256 --subspace q14+".split(),
+        TPRABI
+        + "spectrum --omega0 1 --omega 0.5 --g2 0.24 --cutoff 256 --subspace q14+".split(),
         False,
     ),
     "spectrum_full": (
-        "spectrum --omega0 1 --omega 0.5 --g2 0.2 --cutoff 128 --subspace full"
+        TPRABI
+        + "spectrum --omega0 1 --omega 0.5 --g2 0.2 --cutoff 128 --subspace full"
         " --count 30 --tail-fraction 0.3 --tol 1e-8".split(),
         False,
     ),
     "modes_harmonic": (
-        "modes --omega 0.5 --g2 0.1 --subspace q14+ --level 1 --cutoff 256"
+        TPRABI
+        + "modes --omega 0.5 --g2 0.1 --subspace q14+ --level 1 --cutoff 256"
         " --points 101".split(),
         False,
     ),
     "modes_free": (
-        "modes --omega 0.45 --g2 0.225 --subspace q34+ --cutoff 512 --points 101".split(),
+        TPRABI
+        + "modes --omega 0.45 --g2 0.225 --subspace q34+ --cutoff 512 --points 101".split(),
         False,
     ),
-    "oracle_seed7": (["oracle", "--seed", "7"], False),
+    "oracle_seed7": ([*TPRABI, "oracle", "--seed", "7"], False),
+    "refine_critical": (
+        [str(SCRIPTS / "refine_critical.py"), *"--omega0 1 --omega 0.5 --cutoff 256".split()],
+        False,
+    ),
 }
 
 
@@ -61,7 +71,7 @@ def render(name: str) -> dict[str, bytes]:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
         proc = subprocess.run(
-            [sys.executable, "-m", "tprabi", *argv, *(["--out", str(out)] if writes_file else [])],
+            [sys.executable, *argv, *(["--out", str(out)] if writes_file else [])],
             capture_output=True,
             env=env,
         )

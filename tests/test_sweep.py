@@ -1,7 +1,9 @@
 """Coupling-comb surveys, collapse detection, and the exceptional state."""
 
 import dataclasses
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,15 +24,18 @@ from tprabi import (
     detect_collapse,
     exceptional_state,
     full_fock_chains,
+    locate_collapse,
     refine_comb,
     run_sweep,
     solve_hermitian,
     solve_point,
     solve_tridiagonal,
 )
+from tprabi.cli import parse_sweep_config
 
 Q14P = SubspaceLabel(0.25, 1)
 Q34P = SubspaceLabel(0.75, 1)
+SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
 
 def make_row(g2, count, *, omega0=1.0, omega=0.5, subspace=Q14P, error=None, **over):
@@ -180,6 +185,100 @@ class TestDetectCollapse:
             detect_collapse(result, 1.0, 0.5)
         estimate = detect_collapse(result, 1.0, 0.5, subspace=Q14P)
         assert not estimate.found
+
+
+def crafted_comb(monkeypatch, counts, failed=()):
+    """A comb whose _solve_point rows carry the given counts (failed indices
+    become failure rows). Returns the config, the scan's estimate over every
+    row, and the list that records each probed index from then on."""
+    couplings = tuple(0.01 * (i + 1) for i in range(len(counts)))
+    config = SweepConfig((1.0,), (0.5,), couplings, (Q14P,), 1024)
+    probes = []
+
+    def fake(cfg, omega0, omega, g2, subspace):
+        i = couplings.index(g2)
+        probes.append(i)
+        if i in failed:
+            return make_row(g2, FAILURE_COUNT, error="ValueError: boom")
+        return make_row(g2, counts[i])
+
+    monkeypatch.setattr(tprabi.sweep, "_solve_point", fake)
+    rows = [fake(config, 1.0, 0.5, g, Q14P) for g in couplings]
+    scan = detect_collapse(make_result(rows), 1.0, 0.5)
+    probes.clear()
+    return config, scan, probes
+
+
+class TestLocateCollapse:
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_matches_scan_on_shipped_configs(self, cached_sweeps, path):
+        config = parse_sweep_config(path.read_text())
+        for w0 in config.omega0_grid:
+            for w in config.omega_grid:
+                for sub in config.subspaces:
+                    single = dataclasses.replace(
+                        config, omega0_grid=(w0,), omega_grid=(w,), subspaces=(sub,)
+                    )
+                    scan = detect_collapse(cached_sweeps(single), w0, w, sub)
+                    assert scan.found
+                    assert locate_collapse(config, w0, w, sub) == scan
+
+    @pytest.mark.parametrize(
+        "counts,failed,hit",
+        [
+            ([10, 1, 20, 20, 0], (), 1),  # rising counts: a probe sees 10 -> 20
+            ([25, 25, 25, 25, -1, 25, 0, 0, 0], (4,), 6),  # failed probe row
+            ([-1, 0, 0, 0, 0], (0,), 1),  # failed first row
+            ([25, 25, 25, -1], (3,), None),  # failed last row
+            ([25, 24, 20, 12, 5], (), None),  # no collapse
+            ([25, 25, 25, 25, 25, 25, 0], (), 6),  # hit only at the last point
+        ],
+    )
+    def test_crafted_counts_give_scan_answer(self, monkeypatch, counts, failed, hit):
+        config, scan, probes = crafted_comb(monkeypatch, counts, failed)
+        assert scan.found == (hit is not None)
+        if hit is not None:
+            assert scan.coupling == config.coupling_spec[hit]
+        assert locate_collapse(config, 1.0, 0.5) == scan
+        assert len(probes) == len(set(probes))  # each row is solved once
+
+    def test_collapse_at_first_point_probes_once(self, monkeypatch):
+        config, scan, probes = crafted_comb(monkeypatch, [1, 0, 0, 0])
+        estimate = locate_collapse(config, 1.0, 0.5)
+        assert estimate == scan and estimate.coupling == config.coupling_spec[0]
+        assert estimate.step == pytest.approx(0.01)  # the leading step
+        assert probes == [0]
+
+    def test_unseen_dip_is_the_documented_limit(self, monkeypatch):
+        config, scan, _ = crafted_comb(monkeypatch, [25, 0, 25, 25, 0])
+        assert scan.coupling == config.coupling_spec[1]
+        assert locate_collapse(config, 1.0, 0.5).coupling == config.coupling_spec[4]
+
+    @pytest.mark.parametrize("hit", [1, 2, 57, 100, 199, 200])
+    def test_monotone_comb_needs_logarithmic_solves(self, monkeypatch, hit):
+        counts = [25] * (hit - 1) + [12] + [0] * (201 - hit)
+        config, scan, probes = crafted_comb(monkeypatch, counts)
+        assert locate_collapse(config, 1.0, 0.5) == scan
+        assert scan.coupling == config.coupling_spec[hit]
+        assert len(probes) <= 2 + math.ceil(math.log2(200))
+
+    @pytest.mark.parametrize(
+        "over,omega0,subspace,message",
+        [
+            ({}, 1.0, None, "pass one of"),
+            ({}, 2.0, Q14P, "got 0"),
+            (dict(coupling_spec=(0.1,)), 1.0, Q14P, "got 1"),
+            (dict(coupling_spec=(0.2, 0.1)), 1.0, Q14P, "strictly increasing"),
+            (dict(omega_grid=(0.5, 0.5)), 1.0, Q14P, "strictly increasing"),
+        ],
+    )
+    def test_validation_matches_detect_collapse(self, over, omega0, subspace, message):
+        base = SweepConfig((1.0,), (0.5,), (0.1, 0.2), (Q14P, Q34P), 64)
+        config = dataclasses.replace(base, **over)
+        with pytest.raises(ValueError, match=message):
+            detect_collapse(run_sweep(config), omega0, 0.5, subspace)
+        with pytest.raises(ValueError, match=message):
+            locate_collapse(config, omega0, 0.5, subspace)
 
 
 class TestRefineComb:
@@ -352,6 +451,28 @@ class TestRefineIntegration:
         assert refined.found
         assert abs(refined.coupling - 0.25) < 2e-4
         assert refined.step < coarse.step
+
+    def test_both_stages_bisect_through_locate_collapse(self, monkeypatch):
+        probes = []
+        solve = tprabi.sweep._solve_point
+
+        def counted(*args):
+            probes.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(tprabi.sweep, "_solve_point", counted)
+        config = SweepConfig(
+            (1.0,), (0.5,), RelativeComb(steps=8, lo=0.0, hi=2.0), (Q14P,), 1024
+        )
+        coarse = locate_collapse(config, 1.0, 0.5)
+        assert coarse.found and coarse.coupling == pytest.approx(0.25)
+        assert coarse.step == pytest.approx(0.0625)
+        refined = locate_collapse(refine_comb(config, coarse.coupling), 1.0, 0.5)
+        assert refined.found
+        assert abs(refined.coupling - 0.25) < 2e-4
+        assert refined.step < coarse.step
+        # 9-point then 200-point comb: (2 + 3) + (2 + 8) solves at most
+        assert len(probes) <= 15
 
 
 class TestExceptionalState:
