@@ -27,6 +27,7 @@ from .analytic import (
 )
 from .model import (
     ALL_SUBSPACES,
+    SUBSPACES_BY_NAME,
     ModelParams,
     SubspaceLabel,
     build_full_fock,
@@ -34,7 +35,6 @@ from .model import (
     build_rotated_fock,
     build_subspace_tridiagonal,
     subspace_from_name,
-    subspace_name,
 )
 from .solver import convergence_filter, solve_hermitian, solve_tridiagonal
 from .sweep import (
@@ -45,7 +45,7 @@ from .sweep import (
     solve_point,
 )
 
-SUBSPACE_CHOICES = tuple(label.name for label in ALL_SUBSPACES) + ("full",)
+SUBSPACE_CHOICES = tuple(SUBSPACES_BY_NAME)
 
 
 class UsageError(Exception):
@@ -223,7 +223,7 @@ def serialize_sweep_config(config: SweepConfig) -> str:
         lines.append(f"g2_rel = grid({comb.lo!r}, {comb.hi!r}, {comb.steps + 1})")
     else:
         lines.append("g2 = " + ", ".join(repr(v) for v in config.coupling_spec))
-    lines.append("subspaces = " + ", ".join(subspace_name(s) for s in config.subspaces))
+    lines.append("subspaces = " + ", ".join(s.name for s in config.subspaces))
     lines.append(f"cutoff = {config.cutoff}")
     lines.append(f"eigenpairs = {config.requested_eigenpairs}")
     lines.append(f"tail_fraction = {config.tail_fraction!r}")
@@ -279,7 +279,7 @@ def sweep_csv(result) -> str:
                     _fmt(row.omega),
                     _fmt(row.g2),
                     str(row.cutoff),
-                    subspace_name(row.subspace),
+                    row.subspace.name,
                     str(row.converged_count),
                     str(int(row.collapsed)),
                 ]
@@ -295,7 +295,7 @@ def _sweep_summary(result) -> str:
     for w0 in config.omega0_grid:
         for w in config.omega_grid:
             for sub in config.subspaces:
-                prefix = f"omega0={_fmt(w0)} omega={_fmt(w)} subspace={subspace_name(sub)}:"
+                prefix = f"omega0={_fmt(w0)} omega={_fmt(w)} subspace={sub.name}:"
                 try:
                     estimate = detect_collapse(result, w0, w, sub)
                 except ValueError as exc:
@@ -458,6 +458,7 @@ def cmd_modes(args: argparse.Namespace) -> int:
             raise ValueError("need points >= 2 and xmax > xmin")
         if args.level + 1 > args.cutoff:
             raise ValueError(f"level {args.level} needs cutoff > {args.level}")
+        tridiag = build_subspace_tridiagonal(label, params, args.cutoff)
         data = classify_regime(params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -466,7 +467,6 @@ def cmd_modes(args: argparse.Namespace) -> int:
         raise SpectralCollapseError("regime III closed forms out of scope")
 
     x = np.linspace(args.xmin, args.xmax, args.points)
-    tridiag = build_subspace_tridiagonal(label, params, args.cutoff)
     pair = solve_tridiagonal(tridiag, args.level + 1)[args.level]
     numeric = fock_to_position(pair.vector, x, label)
 

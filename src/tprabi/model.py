@@ -10,12 +10,9 @@ diagonalizing in the qubit basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
-
-# Matrices at or above this dimension are kept in lower-banded storage.
-DENSE_LIMIT = 1024
 
 # In the interleaved qubit (x) Fock ordering (index = 2n + s, s = 0 spin-up)
 # no builder couples states farther apart than this.
@@ -81,17 +78,30 @@ ALL_SUBSPACES = (
     SubspaceLabel(0.75, -1),
 )
 
-Subspace = Union[SubspaceLabel, str]  # a sector label or the literal "full"
+
+@dataclass(frozen=True)
+class FullModel:
+    """The unsplit model: both qubit states times the Fock ladder."""
+
+    name: ClassVar[str] = "full"
 
 
-def subspace_name(subspace: Subspace) -> str:
-    """Config and CSV name of a subspace: a sector name such as "q14+", or "full"."""
-    return subspace if isinstance(subspace, str) else subspace.name
+FULL = FullModel()
+
+Subspace = Union[SubspaceLabel, FullModel]
+
+# every subspace under its config and CSV name, the four sectors first
+SUBSPACES_BY_NAME = {s.name: s for s in (*ALL_SUBSPACES, FULL)}
 
 
 def subspace_from_name(name: str) -> Subspace:
-    """Inverse of subspace_name; raises ValueError for an unknown name."""
-    return name if name == "full" else SubspaceLabel.from_name(name)
+    """Subspace called name ("q14+", ..., "full"); raises ValueError for an unknown name."""
+    try:
+        return SUBSPACES_BY_NAME[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown subspace {name!r}, expected one of {sorted(SUBSPACES_BY_NAME)}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -129,73 +139,60 @@ class TridiagonalMatrix:
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Hermitian matrix in dense or lower-banded storage.
+    """Dense Hermitian matrix, checked exactly Hermitian on construction.
 
-    Banded data holds the subdiagonals: data[r, j] = A[j + r, j]. The upper
-    triangle is implied by conjugate symmetry, so banded matrices are
-    Hermitian by construction; dense data is checked on construction.
+    qubit_dim is 2 for qubit (x) Fock matrices in the interleaved ordering
+    (index 2n + s) and 1 for boson-only ones.
     """
 
     data: np.ndarray
-    storage: str
     qubit_dim: int = 1
 
     def __post_init__(self) -> None:
-        if self.storage not in ("dense", "banded"):
-            raise ValueError(f"storage must be 'dense' or 'banded', got {self.storage!r}")
         if self.qubit_dim not in (1, 2):
             raise ValueError(f"qubit_dim must be 1 or 2, got {self.qubit_dim}")
         data = np.asarray(self.data)
         if not np.all(np.isfinite(data)):
             raise ValueError("matrix entries must be finite")
-        if self.storage == "dense":
-            if data.ndim != 2 or data.shape[0] != data.shape[1]:
-                raise ValueError(f"dense storage must be square, got {data.shape}")
-            if not np.array_equal(data, data.conj().T):
-                raise ValueError("dense entries must be exactly Hermitian")
-        else:
-            if data.ndim != 2 or data.shape[0] > data.shape[1]:
-                raise ValueError(f"banded storage must be (bandwidth+1, dim), got {data.shape}")
+        if data.ndim != 2 or data.shape[0] != data.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {data.shape}")
+        if not np.array_equal(data, data.conj().T):
+            raise ValueError("matrix entries must be exactly Hermitian")
         object.__setattr__(self, "data", data)
 
     @property
     def dimension(self) -> int:
-        return self.data.shape[1] if self.storage == "banded" else self.data.shape[0]
-
-    @property
-    def bandwidth(self) -> int:
-        return self.data.shape[0] - 1 if self.storage == "banded" else self.dimension - 1
+        return self.data.shape[0]
 
     def to_dense(self) -> np.ndarray:
-        if self.storage == "dense":
-            return self.data.copy()
-        rows, dim = self.data.shape
-        out = np.zeros((dim, dim), dtype=self.data.dtype)
-        for r in range(rows):
-            idx = np.arange(dim - r)
-            out[idx + r, idx] = self.data[r, : dim - r]
-        return out + np.triu(out.conj().T, 1)
+        return self.data.copy()
 
 
 # interleaved indices 2n + s of a block of the full model, and the block
 Chain = tuple[np.ndarray, TridiagonalMatrix]
 
 
+def require_integer(name: str, value: int) -> None:
+    """Reject anything but an int or numpy integer (a bool is not a count)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_cutoff(cutoff: int, minimum: int) -> None:
-    if not isinstance(cutoff, (int, np.integer)) or isinstance(cutoff, bool):
-        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
+    require_integer("cutoff", cutoff)
     if cutoff < minimum:
         raise ValueError(f"cutoff {cutoff} too small, need at least {minimum}")
 
 
 def _package(band: np.ndarray, qubit_dim: int) -> HermitianMatrix:
-    dim = band.shape[1]
-    if band.shape[0] > dim:  # tiny matrices cannot hold the full bandwidth
-        band = band[:dim]
-    if dim < DENSE_LIMIT:
-        dense = HermitianMatrix(band, "banded", qubit_dim).to_dense()
-        return HermitianMatrix(dense, "dense", qubit_dim)
-    return HermitianMatrix(band, "banded", qubit_dim)
+    """Dense matrix from its lower bands, band[r, j] = A[j + r, j]; the upper
+    triangle is the conjugate of the lower."""
+    rows, dim = band.shape
+    out = np.zeros((dim, dim), dtype=band.dtype)
+    for r in range(min(rows, dim)):  # tiny matrices cannot hold every band
+        idx = np.arange(dim - r)
+        out[idx + r, idx] = band[r, : dim - r]
+    return HermitianMatrix(out + np.triu(out.conj().T, 1), qubit_dim)
 
 
 def _quadrature_bands(cutoff: int) -> tuple[np.ndarray, np.ndarray]:

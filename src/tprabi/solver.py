@@ -70,15 +70,6 @@ class Alignment(NamedTuple):
     residual: float
 
 
-def interior_count(dimension: int, edge_fraction: float = 0.2) -> int:
-    """Number of trustworthy low eigenvalues of a truncated matrix.
-
-    The top edge_fraction of any truncated spectrum is corrupted by the basis
-    cutoff and excluded from cross-representation comparisons.
-    """
-    return dimension - math.ceil(edge_fraction * dimension)
-
-
 def tail_norm_of(vector: np.ndarray, tail_fraction: float = 0.2, qubit_dim: int = 1) -> float:
     """l2 norm of the last ceil(tail_fraction * N) Fock levels of a vector.
 
@@ -155,16 +146,11 @@ def solve_chains(chains: Sequence[Chain], k: int) -> list[EigenPair]:
 
 
 def solve_hermitian(matrix: HermitianMatrix, k: int) -> list[EigenPair]:
-    """k lowest eigenpairs of a dense or banded Hermitian matrix."""
+    """k lowest eigenpairs of a Hermitian matrix."""
     dim = matrix.dimension
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}], got {k}")
-    if matrix.storage == "dense":
-        values, vectors = scipy.linalg.eigh(matrix.data, subset_by_index=[0, k - 1])
-    else:
-        values, vectors = scipy.linalg.eig_banded(
-            matrix.data, lower=True, select="i", select_range=(0, k - 1)
-        )
+    values, vectors = scipy.linalg.eigh(matrix.data, subset_by_index=[0, k - 1])
     return _to_pairs(values, vectors, matrix.qubit_dim)
 
 

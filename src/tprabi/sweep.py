@@ -16,12 +16,13 @@ import numpy as np
 
 from .analytic import critical_coupling
 from .model import (
+    FullModel,
     ModelParams,
     Subspace,
     SubspaceLabel,
     build_subspace_tridiagonal,
     full_fock_chains,
-    subspace_name,
+    require_integer,
 )
 from .solver import (
     EigenPair,
@@ -87,8 +88,10 @@ class SweepConfig:
         if not self.subspaces:
             raise ValueError("subspace list must be non-empty")
         for sub in self.subspaces:
-            if not (isinstance(sub, SubspaceLabel) or sub == "full"):
-                raise ValueError(f"subspace must be a SubspaceLabel or 'full', got {sub!r}")
+            if not isinstance(sub, (SubspaceLabel, FullModel)):
+                raise ValueError(f"subspace must be a SubspaceLabel or FULL, got {sub!r}")
+        require_integer("cutoff", self.cutoff)
+        require_integer("requested_eigenpairs", self.requested_eigenpairs)
         if self.cutoff < 64:
             raise ValueError(f"cutoff must be >= 64, got {self.cutoff}")
         if self.requested_eigenpairs < 2:
@@ -154,7 +157,7 @@ def _require_one_subspace(present: set) -> None:
     if len(present) > 1:
         raise ValueError(
             f"slice holds {len(present)} subspaces, pass one of "
-            f"{sorted(subspace_name(s) for s in present)}"
+            f"{sorted(s.name for s in present)}"
         )
 
 
@@ -189,7 +192,7 @@ def solve_point(
     k is clamped to the matrix dimension. Sector ladders hold cutoff levels;
     the full model holds cutoff Fock levels per qubit state.
     """
-    if subspace == "full":
+    if isinstance(subspace, FullModel):
         pairs = solve_chains(full_fock_chains(params, cutoff), min(k, 2 * cutoff))
         qubit_dim = 2
     else:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tprabi.cli
-from tprabi import RelativeComb, SubspaceLabel, SweepConfig
+from tprabi import FULL, RelativeComb, SubspaceLabel, SweepConfig
 from tprabi.cli import main, parse_sweep_config, serialize_sweep_config
 
 GOOD_CONFIG = """\
@@ -122,7 +122,7 @@ config_st = st.builds(
                 SubspaceLabel(0.25, -1),
                 SubspaceLabel(0.75, 1),
                 SubspaceLabel(0.75, -1),
-                "full",
+                FULL,
             ]
         ),
         min_size=1,
@@ -317,6 +317,12 @@ class TestModesCommand:
             "modes --omega0 0.5 --omega 0.5 --g2 0.1 --subspace q14+".split(), capsys
         )
         assert code == 2 and "omega0 = 0" in err
+
+    def test_cutoff_below_minimum_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            "modes --omega 0.5 --g2 0.1 --subspace q14+ --cutoff 1".split(), capsys
+        )
+        assert code == 2 and "cutoff 1 too small" in err
 
     def test_full_subspace_not_allowed(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tprabi import (
     ALL_SUBSPACES,
+    FULL,
     HermitianMatrix,
     ModelParams,
     SubspaceLabel,
@@ -20,6 +21,7 @@ from tprabi import (
     full_fock_chains,
     solve_hermitian,
 )
+from tprabi.model import subspace_from_name
 
 params_st = st.builds(
     ModelParams,
@@ -59,6 +61,14 @@ class TestSubspaceLabel:
         with pytest.raises(ValueError):
             SubspaceLabel.from_name("q12+")
 
+    def test_full_is_a_named_label(self):
+        assert subspace_from_name("full") is FULL
+        assert FULL.name == "full"
+        for label in ALL_SUBSPACES:
+            assert subspace_from_name(label.name) == label
+        with pytest.raises(ValueError, match="unknown subspace"):
+            subspace_from_name("Full")
+
 
 class TestStorageTypes:
     def test_tridiagonal_shape_checks(self):
@@ -74,17 +84,12 @@ class TestStorageTypes:
 
     def test_dense_must_be_hermitian(self):
         with pytest.raises(ValueError):
-            HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), "dense")
+            HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_banded_round_trip(self):
-        band = np.zeros((3, 4))
-        band[0] = [1.0, 2.0, 3.0, 4.0]
-        band[2, :2] = [5.0, 6.0]
-        m = HermitianMatrix(band, "banded")
-        dense = m.to_dense()
-        assert np.array_equal(dense, dense.conj().T)
-        assert dense[2, 0] == 5.0 and dense[0, 2] == 5.0
-        assert m.bandwidth == 2 and m.dimension == 4
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_dense_must_be_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            HermitianMatrix(np.zeros(shape))
 
 
 class TestFullFock:
@@ -113,10 +118,9 @@ class TestFullFock:
         with pytest.raises(ValueError):
             build_full_fock(ModelParams(1.0, 1.0, 0.1), 1)
 
-    def test_banded_at_scale_matches_dense(self):
+    def test_at_scale_truncates_to_smaller_build(self):
         params = ModelParams(1.0, 0.5, 0.2)
         big = build_full_fock(params, 512)
-        assert big.storage == "banded"
         small = build_full_fock(params, 512 - 480)
         sub = big.to_dense()[: small.dimension, : small.dimension]
         assert np.array_equal(sub, small.to_dense())

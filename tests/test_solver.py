@@ -16,7 +16,6 @@ from tprabi import (
     build_full_fock,
     build_subspace_tridiagonal,
     convergence_filter,
-    interior_count,
     solve_hermitian,
     solve_tridiagonal,
     tail_norm_of,
@@ -88,22 +87,13 @@ class TestSolveHermitian:
         assert [p.value for p in pairs] == pytest.approx([-0.5, 0.5, 0.5, 1.5], abs=1e-12)
 
     def test_identity(self):
-        values = [p.value for p in solve_hermitian(HermitianMatrix(np.eye(3), "dense"), 3)]
+        values = [p.value for p in solve_hermitian(HermitianMatrix(np.eye(3)), 3)]
         assert values == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
 
     def test_frozen_regression(self):
         pairs = solve_hermitian(build_full_fock(ModelParams(1.0, 0.5, 0.2), 512), 10)
         values = [p.value for p in pairs]
         assert values == pytest.approx(FROZEN_512, abs=1e-9)
-
-    def test_dense_and_banded_agree(self):
-        params = ModelParams(1.0, 0.5, 0.2)
-        banded = build_full_fock(params, 512)
-        assert banded.storage == "banded"
-        dense = HermitianMatrix(banded.to_dense(), "dense", qubit_dim=2)
-        banded_vals = [p.value for p in solve_hermitian(banded, 10)]
-        dense_vals = [p.value for p in solve_hermitian(dense, 10)]
-        assert banded_vals == pytest.approx(dense_vals, abs=1e-10)
 
 
 class TestEigenPair:
@@ -195,13 +185,6 @@ class TestConvergenceFilter:
         t_c = build_subspace_tridiagonal(Q14P, ModelParams(1.0, 0.5, 0.25), 8192)
         at = convergence_filter(solve_tridiagonal(t_c, 25))
         assert at.converged_count == 1
-
-
-class TestInteriorCount:
-    def test_excludes_top_fifth(self):
-        assert interior_count(10) == 8
-        assert interior_count(3) == 2
-        assert interior_count(100, edge_fraction=0.5) == 50
 
 
 def _filtered_subspaces(params, cutoff, k):

@@ -11,6 +11,7 @@ import pytest
 import tprabi.sweep
 from tprabi import (
     FAILURE_COUNT,
+    FULL,
     CollapseEstimate,
     ModelParams,
     RelativeComb,
@@ -102,6 +103,11 @@ class TestSweepConfig:
             dict(tail_fraction=0.0),
             dict(tail_fraction=1.0),
             dict(tolerance=0.0),
+            dict(subspaces=("full",)),  # the name, not the FULL label
+            # non-integer counts used to pass and turn every row into a failure row
+            dict(cutoff=1024.0),
+            dict(requested_eigenpairs=5.5),
+            dict(requested_eigenpairs=25.0),
         ],
     )
     def test_validation(self, kwargs):
@@ -124,8 +130,8 @@ class TestSweepConfig:
         assert SweepConfig((1.0,), (0.0,), (0.1,), (Q14P,), 64).omega_grid == (0.0,)
 
     def test_full_subspace_accepted(self):
-        config = SweepConfig((1.0,), (0.5,), (0.1,), ("full", Q14P), 64)
-        assert config.subspaces == ("full", Q14P)
+        config = SweepConfig((1.0,), (0.5,), (0.1,), (FULL, Q14P), 64)
+        assert config.subspaces == (FULL, Q14P)
 
     def test_couplings_for_comb(self):
         config = SweepConfig(
@@ -307,14 +313,14 @@ class TestRefineComb:
 class TestRunSweep:
     def test_row_order_and_determinism(self):
         config = SweepConfig(
-            (0.0, 1.0), (0.5,), (0.05, 0.1), (Q14P, "full"), 64, requested_eigenpairs=4
+            (0.0, 1.0), (0.5,), (0.05, 0.1), (Q14P, FULL), 64, requested_eigenpairs=4
         )
         first = run_sweep(config)
         second = run_sweep(config)
         assert first.rows == second.rows
         keys = [(r.omega0, r.omega, r.g2) for r in first.rows]
         assert keys == sorted(keys)
-        assert [r.subspace for r in first.rows[:2]] == [Q14P, "full"]
+        assert [r.subspace for r in first.rows[:2]] == [Q14P, FULL]
 
     def test_failure_rows_never_abort(self):
         config = SweepConfig(
@@ -347,7 +353,7 @@ class TestRunSweep:
 
 
 def unsplit_reference(params, cutoff, k, tail_fraction=0.2, tolerance=1e-6):
-    """The full model solved without the chain split (dense or banded)."""
+    """The full model solved without the chain split, as one dense matrix."""
     matrix = build_full_fock(params, cutoff)
     pairs = solve_hermitian(matrix, min(k, matrix.dimension))
     return convergence_filter(pairs, tail_fraction, tolerance, qubit_dim=2)
@@ -378,12 +384,12 @@ class TestSolvePoint:
     def test_k_clamped_to_dimension(self):
         params = ModelParams(1.0, 0.5, 0.1)
         assert len(solve_point(params, Q14P, 64, 500).pairs) == 64
-        assert len(solve_point(params, "full", 64, 500).pairs) == 128
+        assert len(solve_point(params, FULL, 64, 500).pairs) == 128
 
 
 class TestFullChainSolve:
-    """solve_point(..., "full", ...) splits the model into four parity chains;
-    the unsplit banded/dense solve is the reference."""
+    """solve_point(..., FULL, ...) splits the model into four parity chains;
+    the unsplit dense solve is the reference."""
 
     @pytest.mark.parametrize(
         "cutoff,k,tail_fraction,tolerance",
@@ -398,7 +404,7 @@ class TestFullChainSolve:
     )
     def test_matches_unsplit_solve(self, cutoff, k, tail_fraction, tolerance):
         params = ModelParams(1.0, 0.5, 0.2)
-        got = solve_point(params, "full", cutoff, k, tail_fraction, tolerance)
+        got = solve_point(params, FULL, cutoff, k, tail_fraction, tolerance)
         ref = unsplit_reference(params, cutoff, k, tail_fraction, tolerance)
         assert len(got.pairs) == len(ref.pairs) == min(k, 2 * cutoff)
         assert_values_close(got, ref)
@@ -416,7 +422,7 @@ class TestFullChainSolve:
         # eigenvector basis inside each level is arbitrary; every vector
         # still lies on one chain, a state of definite parity
         params = ModelParams(0.0, 0.5, 0.2)
-        got = solve_point(params, "full", 128, 30)
+        got = solve_point(params, FULL, 128, 30)
         ref = unsplit_reference(params, 128, 30)
         assert_values_close(got, ref)
         assert got.converged_count == ref.converged_count
@@ -426,11 +432,11 @@ class TestFullChainSolve:
             assert sum(occupied) == 1
 
     def test_memory_stays_bounded_at_large_cutoff(self):
-        # the unsplit banded solve would build a dense Q of 16384^2 doubles
+        # the unsplit solve would build a dense matrix of 16384^2 doubles
         # (2 GB); the chains need four small eigenvector blocks
         tracemalloc.start()
         try:
-            got = solve_point(ModelParams(1.0, 0.5, 0.2), "full", 8192, 25)
+            got = solve_point(ModelParams(1.0, 0.5, 0.2), FULL, 8192, 25)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
