@@ -36,7 +36,7 @@ from .model import (
     build_subspace_tridiagonal,
     subspace_from_name,
 )
-from .solver import convergence_filter, solve_hermitian, solve_tridiagonal
+from .solver import align_spectra, convergence_filter, solve_hermitian, solve_tridiagonal
 from .sweep import (
     RelativeComb,
     SweepConfig,
@@ -351,21 +351,11 @@ def _oracle_alignment(cutoff: int, rng: np.random.Generator) -> float:
             solve_hermitian(build_full_fock(params, 2 * cutoff), 4 * cutoff), qubit_dim=2
         )
         subs = [solve_point(params, lbl, cutoff, cutoff) for lbl in ALL_SUBSPACES]
-        union = np.sort(np.concatenate([s.converged_values for s in subs]))
-        reference = full.converged_values
-        # a single constant must map the union onto the full spectrum; anchor
-        # it on the ground states, then the low prefix must line up. The top
-        # of the converged set straddles the verdict threshold, which lands
-        # on different Fock levels in the two truncation geometries, so trim
-        # it; systematic misalignment would corrupt low entries as well.
-        common = min(len(union), len(reference))
-        keep = common - max(2, -(-common // 10))
-        if keep < 3:
+        try:
+            alignments = align_spectra(full, subs)
+        except ValueError:
             return float("inf")
-        offset = float(reference[0] - union[0])
-        worst = max(
-            worst, float(np.max(np.abs(union[:keep] + offset - reference[:keep])))
-        )
+        worst = max(worst, *(a.residual for a in alignments))
     return worst
 
 

@@ -7,7 +7,6 @@ the last fraction of Fock amplitudes compared against a tolerance.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -64,7 +63,7 @@ class FilteredSpectrum:
 
 
 class Alignment(NamedTuple):
-    """Constant shift onto the reference and the largest leftover deviation."""
+    """Shift onto the reference and the largest deviation of one spectrum."""
 
     offset: float
     residual: float
@@ -167,8 +166,8 @@ def convergence_filter(
     """
     if not 0 < tail_fraction < 1:
         raise ValueError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     if not pairs:
         return FilteredSpectrum((), 0, tail_fraction, tolerance)
     judged = []
@@ -180,119 +179,39 @@ def convergence_filter(
     return FilteredSpectrum(tuple(judged), cutoff, tail_fraction, tolerance)
 
 
-def _injective_match(reference: np.ndarray, shifted: np.ndarray) -> np.ndarray | None:
-    """Monotone one-to-one matching minimizing the largest pair distance.
-
-    Both inputs sorted ascending. Each shifted value claims a distinct
-    reference entry, so degenerate spectra cannot collapse onto a single
-    reference level. Returns the matched reference indices, or None when
-    there are more values than reference entries.
-    """
-    n = len(shifted)
-    if n > len(reference):
-        return None
-
-    def attempt(t: float) -> np.ndarray | None:
-        # smallest strictly increasing indices with reference[j] >= v - t
-        lower = np.searchsorted(reference, shifted - t)
-        j = np.maximum.accumulate(lower - np.arange(n)) + np.arange(n)
-        if j[-1] >= len(reference) or np.any(reference[j] > shifted + t):
-            return None
-        return j
-
-    hi = float(max(reference[-1], shifted[-1]) - min(reference[0], shifted[0])) + 1.0
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if attempt(mid) is None:
-            lo = mid
-        else:
-            hi = mid
-    return attempt(hi)
-
-
-def _align_candidates(reference: np.ndarray, values: np.ndarray) -> list[Alignment]:
-    """Distinct locally-optimal alignments, best residual first.
-
-    Runs the match-and-shift iteration from several anchors; each fixed
-    point is one candidate. Degenerate lattices can tie several offsets at
-    zero residual, so all of them are reported for joint disambiguation.
-    """
-    starts = {float(r - values[0]) for r in reference[: min(len(reference), 8)]}
-    span = min(len(reference), len(values))
-    starts.add(float(np.mean(reference[:span]) - np.mean(values[:span])))
-    found: list[Alignment] = []
-    for start in sorted(starts):
-        offset = start
-        matched = None
-        for _ in range(100):
-            matched = _injective_match(reference, values + offset)
-            if matched is None:
-                break
-            update = offset + float(np.mean(reference[matched] - (values + offset)))
-            if update == offset:
-                break
-            offset = update
-        if matched is None:
-            continue
-        residual = float(np.max(np.abs(values + offset - reference[matched])))
-        if all(abs(offset - c.offset) > 1e-9 for c in found):
-            found.append(Alignment(offset, residual))
-    if not found:
-        raise ValueError(
-            f"cannot align {len(values)} values onto {len(reference)} reference values"
-        )
-    found.sort(key=lambda a: (a.residual, abs(a.offset)))
-    return found
-
-
 def align_spectra(
     reference: FilteredSpectrum, others: Sequence[FilteredSpectrum]
 ) -> list[Alignment]:
-    """Least-squares constant shift matching each spectrum onto the reference.
+    """One constant shift mapping the union of others onto the reference.
 
-    Only converged values participate. Shifted values are paired one-to-one
-    with converged reference values (so degenerate levels respect their
-    multiplicities); the returned residual is the largest absolute pair
-    deviation under the best shift. The reference must span the values being
-    aligned and offer at least as many converged values.
+    Only converged values participate. The shift is anchored on the ground
+    states, reference[0] - union[0]; the sorted union is then compared entry
+    by entry with the reference over the common length less its top
+    max(2, ceil(common / 10)) entries. The top of the converged set straddles
+    the verdict threshold, which lands on different Fock levels in two
+    truncation geometries, so it is trimmed; a systematic misalignment would
+    corrupt low entries as well. Every Alignment carries the shared offset;
+    its residual is the largest deviation among that spectrum's own compared
+    values (0 when none is compared).
+
+    Raises ValueError when a spectrum has no converged value or fewer than 3
+    entries would be compared.
     """
     ref = reference.converged_values
-    if len(ref) < 3:
-        raise ValueError(f"reference has {len(ref)} converged values, need >= 3")
-    value_lists = []
-    tie_sets = []
-    for spectrum in others:
-        values = spectrum.converged_values
-        if len(values) < 3:
-            raise ValueError(f"spectrum has {len(values)} converged values, need >= 3")
-        candidates = _align_candidates(ref, values)
-        ties = [c for c in candidates if c.residual <= candidates[0].residual + 1e-9]
-        value_lists.append(values)
-        tie_sets.append(ties[:4])
-
-    combos = 1
-    for ties in tie_sets:
-        combos *= len(ties)
-    if combos == 1 or combos > 256:
-        return [ties[0] for ties in tie_sets]
-
-    # several exact embeddings per spectrum (degenerate lattices): pick the
-    # combination whose shifted union best tiles the reference one-to-one
-    best_combo = None
-    best_residual = math.inf
-    for combo in itertools.product(*tie_sets):
-        union = np.sort(
-            np.concatenate(
-                [vals + a.offset for vals, a in zip(value_lists, combo)]
-            )
-        )
-        matched = _injective_match(ref, union)
-        if matched is None:
-            continue
-        residual = float(np.max(np.abs(union - ref[matched])))
-        if residual < best_residual:
-            best_combo, best_residual = combo, residual
-    if best_combo is None:
-        return [ties[0] for ties in tie_sets]
-    return list(best_combo)
+    values = [spectrum.converged_values for spectrum in others]
+    if not values or any(len(v) == 0 for v in values):
+        raise ValueError("every spectrum to align needs a converged value")
+    merged = np.concatenate(values)
+    common = min(len(merged), len(ref))
+    keep = common - max(2, -(-common // 10))
+    if keep < 3:
+        raise ValueError(f"{keep} entries to compare, need >= 3")
+    order = np.argsort(merged, kind="stable")
+    union = merged[order]
+    owner = np.repeat(np.arange(len(values)), [len(v) for v in values])[order[:keep]]
+    offset = float(ref[0] - union[0])
+    deviation = np.abs(union[:keep] + offset - ref[:keep])
+    return [
+        Alignment(offset, float(np.max(deviation[owner == i], initial=0.0)))
+        for i in range(len(values))
+    ]

@@ -48,10 +48,11 @@ class RelativeComb:
     hi: float
 
     def __post_init__(self) -> None:
+        require_integer("steps", self.steps)
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not 0 <= self.lo < self.hi:
-            raise ValueError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
+        if not 0 <= self.lo < self.hi < np.inf:
+            raise ValueError(f"need 0 <= lo < hi finite, got [{self.lo}, {self.hi}]")
 
     def couplings(self, omega: float) -> np.ndarray:
         gc = critical_coupling(omega)
@@ -100,8 +101,8 @@ class SweepConfig:
             )
         if not 0 < self.tail_fraction < 1:
             raise ValueError(f"tail_fraction must be in (0, 1), got {self.tail_fraction}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
     def couplings_for(self, omega: float) -> np.ndarray:
         if isinstance(self.coupling_spec, RelativeComb):
@@ -376,8 +377,8 @@ def locate_collapse(
 def refine_comb(config: SweepConfig, center: float) -> SweepConfig:
     """Config with the coupling comb replaced by 200 homogeneous points
     spanning [0.98, 1.02] times center."""
-    if center <= 0:
-        raise ValueError(f"center must be > 0, got {center}")
+    if not (np.isfinite(center) and center > 0):
+        raise ValueError(f"center must be finite and > 0, got {center}")
     points = np.linspace(0.98 * center, 1.02 * center, 200)
     return replace(config, coupling_spec=tuple(float(g) for g in points))
 

@@ -91,6 +91,15 @@ class TestSpectrumCommand:
         )
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_two(self, tol, capsys):
+        code, out, err = run_cli(
+            "spectrum --omega0 1 --omega 0.5 --g2 0.1 --cutoff 64"
+            f" --subspace q14+ --tol {tol}".split(),
+            capsys,
+        )
+        assert code == 2 and out == "" and "tolerance" in err
+
     def test_unwritable_destination_exits_nonzero(self, tmp_path, capsys):
         missing = tmp_path / "no-such-dir" / "out.csv"
         code, _, err = run_cli(
@@ -244,6 +253,23 @@ class TestSweepCommand:
         config.write_text(GOOD_CONFIG.replace("omega = 0.5", "omega = 0"))
         code, out, err = run_cli(["sweep", str(config)], capsys)
         assert code == 2 and out == "" and "omega" in err
+
+    # each used to exit 0: a nan tolerance reported g_c ~= 0 with every row
+    # collapsed, and an infinite comb end gave nan/inf failure rows
+    @pytest.mark.parametrize(
+        "old,new,fragment",
+        [
+            ("cutoff = 1024", "cutoff = 1024\ntolerance = nan", "tolerance"),
+            ("cutoff = 1024", "cutoff = 1024\ntolerance = inf", "tolerance"),
+            ("grid(0, 2, 9)", "grid(0, inf, 3)", "finite"),
+            ("grid(0, 2, 9)", "grid(0, nan, 3)", "finite"),
+        ],
+    )
+    def test_non_finite_settings_exit_two(self, tmp_path, capsys, old, new, fragment):
+        config = tmp_path / "survey.cfg"
+        config.write_text(GOOD_CONFIG.replace(old, new))
+        code, out, err = run_cli(["sweep", str(config)], capsys)
+        assert code == 2 and out == "" and fragment in err
 
 
 class TestOracleCommand:

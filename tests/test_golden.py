@@ -53,6 +53,8 @@ CASES = {
         False,
     ),
     "oracle_seed7": ([*TPRABI, "oracle", "--seed", "7"], False),
+    # few converged values per sector: the trimmed prefix and its smallest sizes
+    "oracle_cutoff32": ([*TPRABI, "oracle", "--cutoff", "32", "--seed", "1"], False),
     "refine_critical": (
         [str(SCRIPTS / "refine_critical.py"), *"--omega0 1 --omega 0.5 --cutoff 256".split()],
         False,

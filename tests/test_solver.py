@@ -169,6 +169,13 @@ class TestConvergenceFilter:
         with pytest.raises(ValueError):
             convergence_filter([pair], qubit_dim=2)
 
+    # a nan tolerance used to judge every pair unconverged without complaint
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, 0.0, -1e-6])
+    def test_rejects_bad_tolerance(self, tolerance):
+        pair = EigenPair(0.0, np.ones(4) / 2, 0.0)
+        with pytest.raises(ValueError, match="tolerance"):
+            convergence_filter([pair], tolerance=tolerance)
+
     def test_idempotent(self):
         t = build_subspace_tridiagonal(Q14P, ModelParams(1.0, 0.5, 0.2), 256)
         once = convergence_filter(solve_tridiagonal(t, 20))
@@ -256,3 +263,53 @@ class TestAlignSpectra:
         )
         assert len(union) == full.converged_count
         assert np.max(np.abs(union - full.converged_values)) < 1e-8
+
+
+class TestSharedOffset:
+    """One offset serves every sector, so a single misplaced sector shows."""
+
+    def _full_and_sectors(self):
+        params = ModelParams(1.0, 0.5, 0.1)
+        matrix = build_full_fock(params, 256)
+        full = convergence_filter(
+            solve_hermitian(matrix, matrix.dimension), qubit_dim=2
+        )
+        return full, _filtered_subspaces(params, 128, 128)
+
+    def test_shifted_sector_keeps_its_deviation(self):
+        # a per-sector fit would absorb the shift and report ~0 everywhere;
+        # q34+ holds neither the ground state nor a level within delta of another
+        delta = 1e-3
+        full, subs = self._full_and_sectors()
+        moved = subs[2]
+        subs[2] = convergence_filter(
+            [EigenPair(p.value + delta, p.vector, p.tail_norm) for p in moved.pairs]
+        )
+        alignments = align_spectra(full, subs)
+        assert alignments[2].residual == pytest.approx(delta, rel=1e-8)
+        for i in (0, 1, 3):
+            assert alignments[i].residual < 1e-8
+        assert all(a.offset == alignments[0].offset for a in alignments)
+        assert alignments[0].offset == pytest.approx(-0.25, abs=1e-8)
+
+    @pytest.mark.parametrize("index,counted", [(0, True), (21, True), (22, False), (24, False)])
+    def test_compares_the_prefix_less_its_top_tenth(self, index, counted):
+        # 25 common values: the top max(2, ceil(25 / 10)) = 3 are left out
+        t = build_subspace_tridiagonal(Q14P, ModelParams(1.0, 0.5, 0.1), 128)
+        ref = convergence_filter(solve_tridiagonal(t, 25))
+        assert ref.converged_count == 25
+        bumped = convergence_filter(
+            [
+                EigenPair(p.value + (1e-3 if i == index else 0.0), p.vector, p.tail_norm)
+                for i, p in enumerate(ref.pairs)
+            ]
+        )
+        alignment = align_spectra(ref, [bumped])[0]
+        # a bumped ground state moves the anchor, which shifts every other entry
+        assert alignment.residual == pytest.approx(1e-3 if counted else 0.0, abs=1e-12)
+
+    def test_rejects_a_sector_without_converged_values(self):
+        full, subs = self._full_and_sectors()
+        subs[1] = convergence_filter(subs[1].pairs, tolerance=1e-300)
+        with pytest.raises(ValueError, match="converged"):
+            align_spectra(full, subs)

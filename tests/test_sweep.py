@@ -82,6 +82,21 @@ class TestRelativeComb:
         with pytest.raises(ValueError):
             RelativeComb(steps=10, lo=-0.1, hi=2.0)
 
+    # 2.5 used to fail only inside run_sweep (a TypeError from linspace), and
+    # True passed as one step
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True])
+    def test_steps_must_be_an_integer(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            RelativeComb(steps=steps, lo=0.0, hi=2.0)
+
+    # an infinite hi used to give a comb of nan/inf couplings, one failure row each
+    @pytest.mark.parametrize(
+        "lo,hi", [(0.0, np.inf), (0.0, np.nan), (np.nan, 2.0), (-np.inf, 2.0)]
+    )
+    def test_bounds_must_be_finite(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            RelativeComb(steps=10, lo=lo, hi=hi)
+
 
 class TestSweepConfig:
     def test_defaults(self):
@@ -108,6 +123,9 @@ class TestSweepConfig:
             dict(cutoff=1024.0),
             dict(requested_eigenpairs=5.5),
             dict(requested_eigenpairs=25.0),
+            # a nan tolerance used to pass and report every row as collapsed
+            dict(tolerance=float("nan")),
+            dict(tolerance=float("inf")),
         ],
     )
     def test_validation(self, kwargs):
@@ -308,6 +326,13 @@ class TestRefineComb:
         config = SweepConfig((1.0,), (0.5,), (0.1,), (Q14P,), 64)
         with pytest.raises(ValueError):
             refine_comb(config, 0.0)
+
+    # a nan center used to give an all-nan comb
+    @pytest.mark.parametrize("center", [np.nan, np.inf])
+    def test_rejects_non_finite_center(self, center):
+        config = SweepConfig((1.0,), (0.5,), (0.1,), (Q14P,), 64)
+        with pytest.raises(ValueError, match="finite"):
+            refine_comb(config, center)
 
 
 class TestRunSweep:
