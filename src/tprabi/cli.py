@@ -413,8 +413,12 @@ def _oracle_chain(cutoff: int, rng: np.random.Generator) -> float:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.cutoff < 16:
-        raise UsageError(f"cutoff must be >= 16, got {args.cutoff}")
+    # below 32 too few pairs pass the filter at the alignment point, and that
+    # check reads inf (FAIL) on every seed
+    if args.cutoff < 32:
+        raise UsageError(f"cutoff must be >= 32, got {args.cutoff}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     tolerance = 1e-8 if args.cutoff >= 128 else 1e-6
     rng = np.random.default_rng(args.seed)
     checks = (

@@ -85,6 +85,9 @@ class FullModel:
 
     name: ClassVar[str] = "full"
 
+    def __reduce__(self) -> str:
+        return "FULL"  # unpickles to the module singleton, so `is FULL` holds
+
 
 FULL = FullModel()
 

@@ -4,13 +4,19 @@ exceptional state at the critical point.
 A sweep solves and filters every grid point; collapse is operationalized as
 the converged-state count dropping to at most one, a truncated-basis proxy
 for the spectrum turning continuous. locate_collapse finds the same point by
-bisecting the comb instead of solving all of it.
+bisecting the comb instead of solving all of it. Large sweeps solve their
+rows in forked processes and return them in grid order.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
+import threading
+import traceback
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import BinaryIO, Iterable, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,6 +39,9 @@ from .solver import (
 )
 
 FAILURE_COUNT = -1  # converged_count marker for rows whose solve failed
+ROWS_PER_WORKER = 16  # a sweep forks one worker per this many rows, up to the CPUs
+
+GridPoint = tuple[float, float, float, Subspace]  # (omega0, omega, g2, subspace)
 
 
 @dataclass(frozen=True)
@@ -247,16 +256,111 @@ def _solve_point(
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Solve and filter every grid point of the survey.
 
-    Rows are ordered lexicographically by (omega0, omega, g2, subspace).
+    Rows are ordered lexicographically by (omega0, omega, g2, subspace). A
+    sweep of at least 2 * ROWS_PER_WORKER rows is cut into contiguous shares,
+    one per worker (min(available CPUs, rows // ROWS_PER_WORKER)), solved in
+    forked processes; the rows and their order are the serial ones. Without
+    os.fork, or while other threads run, every sweep is serial.
     """
-    rows = tuple(
-        _solve_point(config, w0, w, float(g), sub)
+    points = [
+        (w0, w, float(g), sub)
         for w0 in config.omega0_grid
         for w in config.omega_grid
         for g in config.couplings_for(w)
         for sub in config.subspaces
-    )
-    return SweepResult(config, rows)
+    ]
+    workers = min(_available_cpus(), len(points) // ROWS_PER_WORKER)
+    # a forked child holds only the calling thread: a lock another thread
+    # held at the fork would stay held there, so threaded callers stay serial
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        rows = [_solve_point(config, *p) for p in points]
+    else:
+        bounds = [len(points) * i // workers for i in range(workers + 1)]
+        shares = [points[a:b] for a, b in zip(bounds, bounds[1:])]
+        rows = _solve_forked(config, shares)
+    return SweepResult(config, tuple(rows))
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _solve_forked(config: SweepConfig, shares: list[list[GridPoint]]) -> list[SweepRow]:
+    """Rows of every share, in share order: the first solved here, each of the
+    others in a forked child that pickles its rows back through a pipe.
+
+    A child's exception is raised here with the child's traceback as a note.
+    Every child is reaped before this returns or raises.
+    """
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                for _, pipe in children:  # earlier children's pipes
+                    pipe.close()
+                _serve_share(config, share, write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        rows = [_solve_point(config, *p) for p in shares[0]]
+        for pid, pipe in children:
+            rows.extend(_receive_share(pid, pipe))
+        return rows
+    finally:
+        for pid, pipe in children:
+            pipe.close()  # a child still writing gets EPIPE and exits
+            with contextlib.suppress(ChildProcessError):  # reaped already (SIGCHLD ignored)
+                os.waitpid(pid, 0)
+
+
+def _serve_share(config: SweepConfig, share: list[GridPoint], write_fd: int) -> NoReturn:
+    """Child side: send (rows, None) or (None, (exception, traceback text)).
+
+    Leaves through os._exit whatever happens, so the child never returns into
+    the caller's code and never flushes the stdio buffers it inherited.
+    """
+    status = 1
+    try:
+        try:
+            outcome = ([_solve_point(config, *p) for p in share], None)
+        except Exception as exc:
+            outcome = (None, (_picklable(exc), traceback.format_exc()))
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(outcome, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _picklable(exc: Exception) -> Exception:
+    """exc if it survives a pickle round trip, else a RuntimeError naming it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _receive_share(pid: int, pipe: BinaryIO) -> list[SweepRow]:
+    try:
+        rows, failure = pickle.load(pipe)
+    except EOFError:
+        raise RuntimeError(f"sweep worker {pid} exited without sending its rows") from None
+    if failure is not None:
+        exc, child_traceback = failure
+        exc.add_note(f"raised in sweep worker {pid}:\n{child_traceback.rstrip()}")
+        raise exc
+    return rows
 
 
 def _collapsed(row: SweepRow) -> bool:

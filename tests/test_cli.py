@@ -294,6 +294,15 @@ class TestOracleCommand:
         code, _, err = run_cli(["oracle", "--cutoff", "8"], capsys)
         assert code == 2 and "cutoff" in err
 
+    def test_cutoff_below_alignment_floor_rejected(self, capsys):
+        # below 32 the alignment check cannot pass on any seed
+        code, out, err = run_cli(["oracle", "--cutoff", "31"], capsys)
+        assert code == 2 and out == "" and "cutoff must be >= 32" in err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(["oracle", "--cutoff", "32", "--seed", "-1"], capsys)
+        assert code == 2 and out == "" and "--seed" in err
+
 
 class TestModesCommand:
     def test_bare_oscillator_mode(self, capsys):

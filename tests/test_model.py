@@ -1,5 +1,7 @@
 """Hamiltonian builders: matrix elements, symmetry, and equivalences."""
 
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -68,6 +70,13 @@ class TestSubspaceLabel:
             assert subspace_from_name(label.name) == label
         with pytest.raises(ValueError, match="unknown subspace"):
             subspace_from_name("Full")
+
+    def test_labels_survive_pickling(self):
+        # forked sweep workers send their rows back pickled
+        assert pickle.loads(pickle.dumps(FULL)) is FULL
+        for label in ALL_SUBSPACES:
+            copy = pickle.loads(pickle.dumps(label))
+            assert copy == label and hash(copy) == hash(label) and copy.name == label.name
 
 
 class TestStorageTypes:

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import signal
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -375,6 +378,196 @@ class TestRunSweep:
         assert before.converged_count == 25
         assert at.converged_count == 0
         assert at.collapsed and not at.exceptional
+
+
+# 2 omega0 x 8 couplings x 3 subspaces = 48 rows: three shares of 16 at three
+# CPUs, rows 0-15 (omega0 = 0) solved by the parent, 16-31 and 32-47 by children
+FORKING_CONFIG = SweepConfig(
+    (0.0, 1.0),
+    (0.5,),
+    tuple(float(g) for g in np.linspace(0.02, 0.2, 8)),
+    (Q14P, FULL, Q34P),
+    64,
+    requested_eigenpairs=4,
+)
+
+
+def grid_points(config):
+    return [
+        (w0, w, float(g), sub)
+        for w0 in config.omega0_grid
+        for w in config.omega_grid
+        for g in config.couplings_for(w)
+        for sub in config.subspaces
+    ]
+
+
+def serial_rows(config):
+    return [tprabi.sweep._solve_point(config, *p) for p in grid_points(config)]
+
+
+def break_builder(monkeypatch, error, omega0=1.0, g2=None):
+    """Make sector builds at omega0 (and g2, if given) raise error; the
+    forked children inherit the patch."""
+    original = tprabi.sweep.build_subspace_tridiagonal
+
+    def builder(subspace, params, cutoff):
+        if params.omega0 == omega0 and g2 in (None, params.g2):
+            raise error
+        return original(subspace, params, cutoff)
+
+    monkeypatch.setattr(tprabi.sweep, "build_subspace_tridiagonal", builder)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedSweep:
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(tprabi.sweep, "_available_cpus", lambda: 3)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        pids = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+
+    def test_rows_are_the_serial_rows_in_grid_order(self, forks):
+        rows = run_sweep(FORKING_CONFIG).rows
+        assert len(forks) == 2
+        assert list(rows) == serial_rows(FORKING_CONFIG)
+        assert [(r.omega0, r.omega, r.g2, r.subspace) for r in rows] == grid_points(FORKING_CONFIG)
+        assert all(r.subspace is FULL for r in rows[1::3])
+        assert_no_children()
+
+    def test_failure_rows_from_a_child_match_the_serial_path(self, monkeypatch, forks):
+        g2 = FORKING_CONFIG.coupling_spec[6]
+        break_builder(monkeypatch, ValueError("no ladder here"), g2=g2)
+        rows = run_sweep(FORKING_CONFIG).rows
+        assert len(forks) == 2 and list(rows) == serial_rows(FORKING_CONFIG)
+        # rows 42-44: q14+ and q34+ fail inside the last child, full is solved
+        assert [r.error for r in rows[42:45]] == [
+            "ValueError: no ladder here",
+            None,
+            "ValueError: no ladder here",
+        ]
+        assert [r.converged_count for r in rows].count(FAILURE_COUNT) == 2
+
+    def test_child_programming_error_propagates_with_its_traceback(self, monkeypatch):
+        break_builder(monkeypatch, TypeError("bug in a builder"))
+        with pytest.raises(TypeError, match="bug in a builder") as info:
+            run_sweep(FORKING_CONFIG)
+        note = "\n".join(info.value.__notes__)
+        assert "raised in sweep worker" in note
+        assert "Traceback (most recent call last)" in note and "in builder" in note
+        assert_no_children()
+
+    def test_unpicklable_child_error_keeps_its_name(self, monkeypatch):
+        class LocalError(Exception):
+            pass
+
+        break_builder(monkeypatch, LocalError("not picklable"))
+        with pytest.raises(RuntimeError, match="LocalError: not picklable"):
+            run_sweep(FORKING_CONFIG)
+        assert_no_children()
+
+    def test_child_that_dies_silently_is_an_error(self, monkeypatch):
+        original = tprabi.sweep._solve_point
+
+        def dying(config, omega0, omega, g2, subspace):
+            if omega0 == 1.0:
+                os._exit(3)
+            return original(config, omega0, omega, g2, subspace)
+
+        monkeypatch.setattr(tprabi.sweep, "_solve_point", dying)
+        with pytest.raises(RuntimeError, match="exited without sending its rows"):
+            run_sweep(FORKING_CONFIG)
+        assert_no_children()
+
+    @pytest.mark.parametrize("failing_omega0", [None, 0.0, 1.0])
+    def test_no_child_left_behind(self, monkeypatch, failing_omega0):
+        # omega0 = 0 fails in the parent's own share, 1.0 in the children's
+        if failing_omega0 is None:
+            run_sweep(FORKING_CONFIG)
+        else:
+            break_builder(monkeypatch, TypeError("bug"), omega0=failing_omega0)
+            with pytest.raises(TypeError):
+                run_sweep(FORKING_CONFIG)
+        assert_no_children()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_fork_leaks_no_child_and_no_pipe(self, monkeypatch, forks):
+        counted_fork = os.fork
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return counted_fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        fds = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            run_sweep(FORKING_CONFIG)
+        assert len(forks) == 1
+        assert_no_children()
+        assert set(os.listdir("/proc/self/fd")) == fds
+
+    def test_children_reaped_by_the_kernel(self, forks):
+        # with SIGCHLD ignored the kernel reaps exited children itself
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            rows = run_sweep(FORKING_CONFIG).rows
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 2 and list(rows) == serial_rows(FORKING_CONFIG)
+
+    @pytest.mark.parametrize(
+        "config,cpus",
+        [
+            (SweepConfig((1.0,), (0.5,), (0.1,) * 31, (Q14P,), 64, 4), 3),  # 31 rows
+            (FORKING_CONFIG, 1),
+        ],
+        ids=["31-rows", "one-cpu"],
+    )
+    def test_small_sweeps_never_fork(self, monkeypatch, no_fork, config, cpus):
+        monkeypatch.setattr(tprabi.sweep, "_available_cpus", lambda: cpus)
+        assert len(run_sweep(config).rows) == len(grid_points(config))
+
+    def test_no_fork_while_other_threads_run(self, no_fork):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            rows = run_sweep(FORKING_CONFIG).rows
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert len(rows) == len(grid_points(FORKING_CONFIG))
+
+    def test_no_fork_on_platforms_without_it(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        points = grid_points(FORKING_CONFIG)
+        rows = run_sweep(FORKING_CONFIG).rows
+        assert [(r.omega0, r.omega, r.g2, r.subspace) for r in rows] == points
 
 
 def unsplit_reference(params, cutoff, k, tail_fraction=0.2, tolerance=1e-6):
