@@ -12,11 +12,11 @@ from functools import partial
 
 from tprabi import (
     RelativeComb,
-    SubspaceLabel,
     SweepConfig,
     detect_collapse,
     locate_collapse,
     run_sweep,
+    subspace_from_name,
 )
 from tprabi.cli import sweep_csv
 
@@ -25,7 +25,7 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--omega0", type=float, nargs="+", default=[1.0])
     parser.add_argument("--omega", type=float, nargs="+", default=[0.5])
-    parser.add_argument("--subspace", default="q14+", help="q14+/q14-/q34+/q34-")
+    parser.add_argument("--subspace", default="q14+", help="q14+/q14-/q34+/q34-/full")
     parser.add_argument("--cutoff", type=int, default=2**10)
     parser.add_argument("--steps", type=int, default=200, help="comb intervals over [0, 2] g_c")
     parser.add_argument("--eigenpairs", type=int, default=25)
@@ -39,7 +39,7 @@ def main(argv=None):
         omega0_grid=tuple(args.omega0),
         omega_grid=tuple(args.omega),
         coupling_spec=RelativeComb(steps=args.steps, lo=0.0, hi=2.0),
-        subspaces=(SubspaceLabel.from_name(args.subspace),),
+        subspaces=(subspace_from_name(args.subspace),),
         cutoff=args.cutoff,
         requested_eigenpairs=args.eigenpairs,
     )

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from tprabi import ModelParams, SubspaceLabel, critical_coupling, solve_point
+from tprabi import ModelParams, critical_coupling, solve_point, subspace_from_name
 
 
 def parse_args(argv=None):
@@ -26,7 +26,7 @@ def parse_args(argv=None):
 
 def main(argv=None):
     args = parse_args(argv)
-    label = SubspaceLabel.from_name(args.subspace)
+    label = subspace_from_name(args.subspace)
     gc = critical_coupling(args.omega)
     at_gc = ModelParams(args.omega0, args.omega, gc)
     near_gc = ModelParams(args.omega0, args.omega, 0.98 * gc)
@@ -38,12 +38,13 @@ def main(argv=None):
         if filtered.converged_count != 1:
             print(f"{cutoff:6d}  {filtered.converged_count:5d}  (no lone survivor)")
             continue
-        lone = filtered.converged_pairs[0]
+        survivor = int(np.flatnonzero(filtered.converged)[0])
+        lone = filtered.pairs[survivor]
         ground = solve_point(near_gc, label, cutoff, 1).pairs[0]
         overlap = float(abs(np.vdot(lone.vector, ground.vector)))
         print(
             f"{cutoff:6d}  {filtered.converged_count:5d}  {lone.value:+.8e}"
-            f"  {lone.tail_norm:.2e}  {overlap:.6f}"
+            f"  {filtered.tails[survivor]:.2e}  {overlap:.6f}"
         )
     return 0
 

@@ -11,10 +11,10 @@ import sys
 
 from tprabi import (
     RelativeComb,
-    SubspaceLabel,
     SweepConfig,
     locate_collapse,
     refine_comb,
+    subspace_from_name,
 )
 
 
@@ -34,7 +34,7 @@ def main(argv=None):
         omega0_grid=(args.omega0,),
         omega_grid=(args.omega,),
         coupling_spec=RelativeComb(steps=args.steps, lo=0.0, hi=2.0),
-        subspaces=(SubspaceLabel.from_name(args.subspace),),
+        subspaces=(subspace_from_name(args.subspace),),
         cutoff=args.cutoff,
     )
     coarse = locate_collapse(config, args.omega0, args.omega)

@@ -48,19 +48,16 @@ class RegimeData:
     regime: Regime
 
 
-def classify_regime(params: ModelParams, epsilon: float = 0.0) -> RegimeData:
+def classify_regime(params: ModelParams) -> RegimeData:
     """Classify H0 by the sign of alpha_minus = omega - 2 g2.
 
-    epsilon widens the free-particle boundary to |alpha_minus| <= epsilon,
-    in which case Omega is snapped to 0. The default compares exactly.
+    alpha_minus = 0 exactly is the free particle, whose Omega is 0.
     """
     if params.omega <= 0:
         raise ValueError(f"omega must be > 0, got {params.omega}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     alpha_plus = params.omega + 2.0 * params.g2
     alpha_minus = params.omega - 2.0 * params.g2
-    if abs(alpha_minus) <= epsilon:
+    if alpha_minus == 0:
         return RegimeData(alpha_plus, alpha_minus, None, 0.0, Regime.FREE_PARTICLE)
     if alpha_minus > 0:
         return RegimeData(

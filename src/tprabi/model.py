@@ -62,13 +62,12 @@ class SubspaceLabel:
 
     @classmethod
     def from_name(cls, name: str) -> "SubspaceLabel":
-        table = {s.name: s for s in ALL_SUBSPACES}
-        try:
-            return table[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown subspace {name!r}, expected one of {sorted(table)}"
-            ) from None
+        """Sector called name. Only perfbench/workloads.py still calls this;
+        everything else uses subspace_from_name, which also knows "full"."""
+        label = subspace_from_name(name)
+        if not isinstance(label, cls):
+            raise ValueError(f"{name!r} is not a sector")
+        return label
 
 
 ALL_SUBSPACES = (

@@ -8,7 +8,7 @@ the last fraction of Fock amplitudes compared against a tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -21,45 +21,49 @@ _SIGNIFICANT = 1e-8  # amplitude magnitude that fixes the canonical sign
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One eigenvalue with its unit-norm eigenvector and filter verdict."""
+    """One eigenvalue with its unit-norm eigenvector."""
 
     value: float
     vector: np.ndarray
-    tail_norm: float
-    converged: bool = False
 
     def __post_init__(self) -> None:
         vector = np.asarray(self.vector)
         norm = float(np.linalg.norm(vector))
-        if abs(norm - 1.0) > 1e-12:
+        # written so that a nan norm (a non-finite vector) fails as well
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"eigenvector norm {norm} is not 1 within 1e-12")
-        if not (np.isfinite(self.value) and np.isfinite(self.tail_norm)):
-            raise ValueError("value and tail_norm must be finite")
-        if self.tail_norm < 0:
-            raise ValueError(f"tail_norm must be >= 0, got {self.tail_norm}")
+        if not np.isfinite(self.value):
+            raise ValueError(f"value must be finite, got {self.value}")
         object.__setattr__(self, "vector", vector)
 
 
 @dataclass(frozen=True)
 class FilteredSpectrum:
-    """Eigenpairs sorted by value, with the filter settings that judged them."""
+    """Eigenpairs sorted by value, the tail norm of each, and the filter
+    settings that judged them."""
 
     pairs: tuple[EigenPair, ...]
+    tails: np.ndarray
     cutoff: int
     tail_fraction: float
     tolerance: float
 
     @property
+    def converged(self) -> np.ndarray:
+        """The verdict of each pair: its tail norm is below the tolerance."""
+        return self.tails < self.tolerance
+
+    @property
     def converged_pairs(self) -> tuple[EigenPair, ...]:
-        return tuple(p for p in self.pairs if p.converged)
+        return tuple(p for p, ok in zip(self.pairs, self.converged) if ok)
 
     @property
     def converged_values(self) -> np.ndarray:
-        return np.array([p.value for p in self.pairs if p.converged])
+        return np.array([p.value for p in self.converged_pairs])
 
     @property
     def converged_count(self) -> int:
-        return sum(1 for p in self.pairs if p.converged)
+        return int(np.count_nonzero(self.converged))
 
 
 class Alignment(NamedTuple):
@@ -93,20 +97,11 @@ def _canonical_sign(vector: np.ndarray) -> np.ndarray:
     return -vector if pivot < 0 else vector
 
 
-def _to_pairs(values: np.ndarray, vectors: np.ndarray, qubit_dim: int) -> list[EigenPair]:
-    tails = np.array(
-        [tail_norm_of(vectors[:, i], 0.2, qubit_dim) for i in range(vectors.shape[1])]
-    )
-    # ascending by value, ties broken by ascending tail norm
-    order = np.lexsort((tails, values))
+def _to_pairs(values: np.ndarray, vectors: np.ndarray) -> list[EigenPair]:
+    """Pairs in ascending value order (stable), each vector in canonical sign."""
     return [
-        EigenPair(
-            value=float(values[i]),
-            vector=_canonical_sign(vectors[:, i]),
-            tail_norm=float(tails[i]),
-            converged=False,
-        )
-        for i in order
+        EigenPair(float(values[i]), _canonical_sign(vectors[:, i]))
+        for i in np.argsort(values, kind="stable")
     ]
 
 
@@ -115,13 +110,10 @@ def solve_tridiagonal(matrix: TridiagonalMatrix, k: int) -> list[EigenPair]:
     dim = matrix.dimension
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}], got {k}")
-    if dim == 1:
-        vector = np.ones(1)
-        return [EigenPair(float(matrix.diag[0]), vector, tail_norm_of(vector))]
     values, vectors = scipy.linalg.eigh_tridiagonal(
         matrix.diag, matrix.offdiag, select="i", select_range=(0, k - 1)
     )
-    return _to_pairs(values, vectors, qubit_dim=1)
+    return _to_pairs(values, vectors)
 
 
 def solve_chains(chains: Sequence[Chain], k: int) -> list[EigenPair]:
@@ -141,7 +133,7 @@ def solve_chains(chains: Sequence[Chain], k: int) -> list[EigenPair]:
         full[indices] = vecs
         values.append(vals)
         vectors.append(full)
-    return _to_pairs(np.concatenate(values), np.hstack(vectors), qubit_dim=2)[:k]
+    return _to_pairs(np.concatenate(values), np.hstack(vectors))[:k]
 
 
 def solve_hermitian(matrix: HermitianMatrix, k: int) -> list[EigenPair]:
@@ -150,7 +142,7 @@ def solve_hermitian(matrix: HermitianMatrix, k: int) -> list[EigenPair]:
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}], got {k}")
     values, vectors = scipy.linalg.eigh(matrix.data, subset_by_index=[0, k - 1])
-    return _to_pairs(values, vectors, matrix.qubit_dim)
+    return _to_pairs(values, vectors)
 
 
 def convergence_filter(
@@ -159,24 +151,24 @@ def convergence_filter(
     tolerance: float = 1e-6,
     qubit_dim: int = 1,
 ) -> FilteredSpectrum:
-    """Recompute tail norms and verdicts for a batch of eigenpairs.
+    """Judge a batch of eigenpairs by their tail norms, sorted by value.
 
     A pair converges when the norm of the last ceil(tail_fraction * N) Fock
-    amplitudes of its vector is below tolerance.
+    amplitudes of its vector is below tolerance; ties in value are ordered
+    by tail norm.
     """
     if not 0 < tail_fraction < 1:
         raise ValueError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     if not pairs:
-        return FilteredSpectrum((), 0, tail_fraction, tolerance)
-    judged = []
-    for pair in pairs:
-        tail = tail_norm_of(pair.vector, tail_fraction, qubit_dim)
-        judged.append(replace(pair, tail_norm=tail, converged=tail < tolerance))
-    judged.sort(key=lambda p: (p.value, p.tail_norm))
-    cutoff = len(judged[0].vector) // qubit_dim
-    return FilteredSpectrum(tuple(judged), cutoff, tail_fraction, tolerance)
+        return FilteredSpectrum((), np.empty(0), 0, tail_fraction, tolerance)
+    tails = np.array([tail_norm_of(p.vector, tail_fraction, qubit_dim) for p in pairs])
+    order = np.lexsort((tails, [p.value for p in pairs]))
+    cutoff = len(pairs[0].vector) // qubit_dim
+    return FilteredSpectrum(
+        tuple(pairs[i] for i in order), tails[order], cutoff, tail_fraction, tolerance
+    )
 
 
 def align_spectra(

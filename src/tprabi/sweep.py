@@ -137,9 +137,20 @@ class SweepRow:
     tolerance: float
     converged_count: int
     energies: tuple[float, ...]
-    collapsed: bool
-    exceptional: bool
     error: Optional[str] = None
+
+    @property
+    def collapsed(self) -> bool:
+        """The collapse rule: a solved row whose converged count is <= 1.
+
+        Failed rows (converged_count = -1) never count as collapse evidence.
+        """
+        return self.error is None and self.converged_count <= 1
+
+    @property
+    def exceptional(self) -> bool:
+        """A solved row with exactly one converged pair."""
+        return self.error is None and self.converged_count == 1
 
 
 @dataclass(frozen=True)
@@ -238,17 +249,12 @@ def _solve_point(
         return SweepRow(
             converged_count=FAILURE_COUNT,
             energies=(),
-            collapsed=False,
-            exceptional=False,
             error=f"{type(exc).__name__}: {exc}",
             **base,
         )
-    count = filtered.converged_count
     return SweepRow(
-        converged_count=count,
+        converged_count=filtered.converged_count,
         energies=tuple(float(v) for v in filtered.converged_values),
-        collapsed=count <= 1,
-        exceptional=count == 1,
         **base,
     )
 
@@ -363,14 +369,6 @@ def _receive_share(pid: int, pipe: BinaryIO) -> list[SweepRow]:
     return rows
 
 
-def _collapsed(row: SweepRow) -> bool:
-    """The collapse rule: a solved row whose converged count is <= 1.
-
-    Failed rows (converged_count = -1) never count as collapse evidence.
-    """
-    return row.error is None and row.converged_count <= 1
-
-
 def _estimate_at(couplings: Sequence[float], i: int) -> CollapseEstimate:
     """Collapse at comb point i, with the step to the previous point (the
     leading step when i is the first point)."""
@@ -381,7 +379,7 @@ def _estimate_at(couplings: Sequence[float], i: int) -> CollapseEstimate:
 def _first_collapse(couplings: Sequence[float], rows: Iterable[SweepRow]) -> CollapseEstimate:
     """Scan rows in comb order and stop at the first collapsed one."""
     for i, row in enumerate(rows):
-        if _collapsed(row):
+        if row.collapsed:
             return _estimate_at(couplings, i)
     return CollapseEstimate(False)
 
@@ -459,13 +457,13 @@ def locate_collapse(
         return _first_collapse(couplings, (row(i) for i in range(len(couplings))))
 
     lo, hi = 0, len(couplings) - 1
-    if _collapsed(row(lo)):
+    if row(lo).collapsed:
         return _estimate_at(couplings, lo)
-    if not _collapsed(row(hi)):
+    if not row(hi).collapsed:
         return scan()
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _collapsed(row(mid)):
+        if row(mid).collapsed:
             hi = mid
         else:
             lo = mid
@@ -493,7 +491,7 @@ def exceptional_state(row: SweepRow) -> ExceptionalState:
     The overlap is the inner-product magnitude against the numeric ground
     state of the same subspace at 0.98 times the critical coupling.
     """
-    if row.error is not None or not row.exceptional:
+    if not row.exceptional:
         raise ValueError("row is not flagged exceptional")
 
     params = ModelParams(row.omega0, row.omega, row.g2)

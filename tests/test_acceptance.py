@@ -137,7 +137,7 @@ class TestCriterion4ExceptionalState:
             # or omega*p^2 (- branch) on even parity: a purely continuous
             # spectrum with no square-integrable eigenvector, so nothing may
             # survive, and every tail must sit far above the tolerance
-            smallest = min(p.tail_norm for p in filtered.pairs)
+            smallest = float(filtered.tails.min())
             ok = count == 0 and len(filtered.pairs) == 25 and smallest > 1e-2
             criterion_report(
                 name,
@@ -165,8 +165,6 @@ class TestCriterion4ExceptionalState:
             tolerance=1e-6,
             converged_count=1,
             energies=tuple(filtered.converged_values),
-            collapsed=True,
-            exceptional=True,
         )
         overlap = exceptional_state(row).overlap
         ok = overlap > 0.9
@@ -277,7 +275,7 @@ class TestCriterion7PropertySuites:
         pairs = solve_tridiagonal(tri, 8)
         once = convergence_filter(pairs, 0.2, 1e-6)
         twice = convergence_filter(once.pairs, 0.2, 1e-6)
-        if [p.converged for p in once.pairs] != [p.converged for p in twice.pairs]:
+        if once.converged.tolist() != twice.converged.tolist():
             failures.append("filter idempotence")
 
         gram = np.array([[np.dot(a.vector, b.vector) for a in pairs] for b in pairs])

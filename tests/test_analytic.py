@@ -53,10 +53,6 @@ class TestClassifyRegime:
         assert data.Omega is None and data.alpha is None
         assert data.alpha_minus == pytest.approx(-0.1, abs=1e-15)
 
-    def test_epsilon_widens_boundary(self):
-        data = classify_regime(ModelParams(0.0, 0.45, 0.2250001), epsilon=1e-6)
-        assert data.regime is Regime.FREE_PARTICLE
-
     def test_rejects_zero_omega(self):
         with pytest.raises(ValueError):
             classify_regime(ModelParams(0.0, 0.0, 0.1))

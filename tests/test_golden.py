@@ -59,6 +59,12 @@ CASES = {
         [str(SCRIPTS / "refine_critical.py"), *"--omega0 1 --omega 0.5 --cutoff 256".split()],
         False,
     ),
+    "exceptional_overlap": ([str(SCRIPTS / "exceptional_overlap.py")], False),
+    # no --out: the script's "wrote ... to PATH" line would hold a temp path
+    "collapse_survey": (
+        [str(SCRIPTS / "collapse_survey.py"), *"--omega0 0 1 --cutoff 256 --steps 40".split()],
+        False,
+    ),
 }
 
 

@@ -52,7 +52,7 @@ class TestModelParams:
 class TestSubspaceLabel:
     def test_names_round_trip(self):
         for label in ALL_SUBSPACES:
-            assert SubspaceLabel.from_name(label.name) == label
+            assert subspace_from_name(label.name) == label
         assert {s.name for s in ALL_SUBSPACES} == {"q14+", "q14-", "q34+", "q34-"}
 
     def test_rejects_bad_fields(self):
@@ -60,8 +60,8 @@ class TestSubspaceLabel:
             SubspaceLabel(0.5, 1)
         with pytest.raises(ValueError):
             SubspaceLabel(0.25, 0)
-        with pytest.raises(ValueError):
-            SubspaceLabel.from_name("q12+")
+        with pytest.raises(ValueError, match="unknown subspace"):
+            subspace_from_name("q12+")
 
     def test_full_is_a_named_label(self):
         assert subspace_from_name("full") is FULL
@@ -70,6 +70,14 @@ class TestSubspaceLabel:
             assert subspace_from_name(label.name) == label
         with pytest.raises(ValueError, match="unknown subspace"):
             subspace_from_name("Full")
+
+    def test_from_name_reads_the_same_table_for_sectors_only(self):
+        # kept for the benchmark's answer checks
+        for label in ALL_SUBSPACES:
+            assert SubspaceLabel.from_name(label.name) is subspace_from_name(label.name)
+        for name in ("full", "q12+"):
+            with pytest.raises(ValueError):
+                SubspaceLabel.from_name(name)
 
     def test_labels_survive_pickling(self):
         # forked sweep workers send their rows back pickled

@@ -1,5 +1,7 @@
 """Eigensolvers, the tail-norm filter, and cross-spectrum alignment."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -77,8 +79,13 @@ class TestSolveTridiagonal:
     def test_dimension_one(self):
         pair = solve_tridiagonal(TridiagonalMatrix(np.array([3.0]), np.zeros(0)), 1)[0]
         assert pair.value == 3.0
+        assert pair.vector.tolist() == [1.0]
         # the whole vector is its own tail
-        assert pair.tail_norm == 1.0
+        assert convergence_filter([pair]).tails.tolist() == [1.0]
+
+    def test_pairs_carry_no_verdict(self):
+        pair = solve_tridiagonal(TridiagonalMatrix(np.arange(4.0), np.ones(3)), 2)[0]
+        assert [f.name for f in dataclasses.fields(pair)] == ["value", "vector"]
 
 
 class TestSolveHermitian:
@@ -99,9 +106,16 @@ class TestSolveHermitian:
 class TestEigenPair:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            EigenPair(1.0, np.array([1.0, 1.0]), 0.0)
+            EigenPair(1.0, np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
-            EigenPair(np.nan, np.array([1.0]), 0.0)
+            EigenPair(np.nan, np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_vector(self, bad):
+        # abs(nan - 1) > 1e-12 is False: a nan vector used to pass, and the
+        # filter then judged it converged with tail 0
+        with pytest.raises(ValueError, match="norm"):
+            EigenPair(0.0, np.array([bad] + [0.0] * 9))
 
     def test_orthonormality(self):
         t = build_subspace_tridiagonal(Q14P, ModelParams(0.7, 0.4, 0.12), 128)
@@ -152,27 +166,36 @@ class TestConvergenceFilter:
         e0 = np.zeros(10)
         e0[0] = 1.0
         uniform = np.full(10, 1 / np.sqrt(10))
-        spectrum = convergence_filter(
-            [EigenPair(0.0, e0, 0.0), EigenPair(1.0, uniform, 0.0)]
-        )
-        assert spectrum.pairs[0].converged
-        assert not spectrum.pairs[1].converged
-        assert spectrum.pairs[1].tail_norm == pytest.approx(np.sqrt(0.2), abs=1e-15)
+        spectrum = convergence_filter([EigenPair(1.0, uniform), EigenPair(0.0, e0)])
+        assert [p.value for p in spectrum.pairs] == [0.0, 1.0]
+        assert spectrum.converged.tolist() == [True, False]
+        assert spectrum.tails[0] == 0.0
+        assert spectrum.tails[1] == pytest.approx(np.sqrt(0.2), abs=1e-15)
         assert spectrum.converged_count == 1
+        assert spectrum.converged_pairs == (spectrum.pairs[0],)
+        assert spectrum.converged_values.tolist() == [0.0]
         assert spectrum.cutoff == 10
 
     def test_empty_input(self):
-        assert convergence_filter([]).pairs == ()
+        empty = convergence_filter([])
+        assert empty.pairs == () and empty.tails.shape == (0,)
+        assert empty.converged_count == 0 and empty.converged_values.shape == (0,)
+
+    def test_equal_values_ordered_by_tail(self):
+        e0, e9 = np.eye(10)[0], np.eye(10)[9]
+        spectrum = convergence_filter([EigenPair(0.5, e9), EigenPair(0.5, e0)])
+        assert spectrum.tails.tolist() == [0.0, 1.0]
+        assert spectrum.pairs[0].vector[0] == 1.0
 
     def test_rejects_zero_length_tail(self):
-        pair = EigenPair(0.0, np.ones(1), 0.0)
+        pair = EigenPair(0.0, np.ones(1))
         with pytest.raises(ValueError):
             convergence_filter([pair], qubit_dim=2)
 
     # a nan tolerance used to judge every pair unconverged without complaint
     @pytest.mark.parametrize("tolerance", [np.nan, np.inf, 0.0, -1e-6])
     def test_rejects_bad_tolerance(self, tolerance):
-        pair = EigenPair(0.0, np.ones(4) / 2, 0.0)
+        pair = EigenPair(0.0, np.ones(4) / 2)
         with pytest.raises(ValueError, match="tolerance"):
             convergence_filter([pair], tolerance=tolerance)
 
@@ -180,14 +203,14 @@ class TestConvergenceFilter:
         t = build_subspace_tridiagonal(Q14P, ModelParams(1.0, 0.5, 0.2), 256)
         once = convergence_filter(solve_tridiagonal(t, 20))
         twice = convergence_filter(once.pairs)
-        assert [p.converged for p in once.pairs] == [p.converged for p in twice.pairs]
-        assert [p.tail_norm for p in once.pairs] == [p.tail_norm for p in twice.pairs]
+        assert once.converged.tolist() == twice.converged.tolist()
+        assert once.tails.tolist() == twice.tails.tolist()
 
     def test_ground_state_near_collapse(self):
         # converged count collapses to one exactly at g2 = omega/2
         t = build_subspace_tridiagonal(Q14P, ModelParams(1.0, 0.5, 0.245), 8192)
         near = convergence_filter(solve_tridiagonal(t, 25))
-        assert near.pairs[0].converged
+        assert near.converged[0]
         assert near.converged_count > 1
         t_c = build_subspace_tridiagonal(Q14P, ModelParams(1.0, 0.5, 0.25), 8192)
         at = convergence_filter(solve_tridiagonal(t_c, 25))
@@ -215,12 +238,7 @@ class TestAlignSpectra:
 
     def test_constant_shift_recovered(self):
         ref = self._reference()
-        shifted = convergence_filter(
-            [
-                EigenPair(p.value + 0.25, p.vector, p.tail_norm)
-                for p in ref.pairs
-            ]
-        )
+        shifted = convergence_filter([EigenPair(p.value + 0.25, p.vector) for p in ref.pairs])
         alignment = align_spectra(ref, [shifted])[0]
         assert alignment.offset == pytest.approx(-0.25, abs=1e-12)
         assert alignment.residual < 1e-12
@@ -283,7 +301,7 @@ class TestSharedOffset:
         full, subs = self._full_and_sectors()
         moved = subs[2]
         subs[2] = convergence_filter(
-            [EigenPair(p.value + delta, p.vector, p.tail_norm) for p in moved.pairs]
+            [EigenPair(p.value + delta, p.vector) for p in moved.pairs]
         )
         alignments = align_spectra(full, subs)
         assert alignments[2].residual == pytest.approx(delta, rel=1e-8)
@@ -300,7 +318,7 @@ class TestSharedOffset:
         assert ref.converged_count == 25
         bumped = convergence_filter(
             [
-                EigenPair(p.value + (1e-3 if i == index else 0.0), p.vector, p.tail_norm)
+                EigenPair(p.value + (1e-3 if i == index else 0.0), p.vector)
                 for i, p in enumerate(ref.pairs)
             ]
         )

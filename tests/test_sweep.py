@@ -54,8 +54,6 @@ def make_row(g2, count, *, omega0=1.0, omega=0.5, subspace=Q14P, error=None, **o
         tolerance=1e-6,
         converged_count=count,
         energies=(),
-        collapsed=(error is None and count <= 1),
-        exceptional=(error is None and count == 1),
         error=error,
     )
     fields.update(over)
@@ -595,8 +593,8 @@ class TestSolvePoint:
         got = solve_point(params, subspace, 128, 30, tail_fraction, tolerance)
         assert 0 < got.converged_count < 30
         assert [p.value for p in got.pairs] == [p.value for p in expected.pairs]
-        assert [p.tail_norm for p in got.pairs] == [p.tail_norm for p in expected.pairs]
-        assert [p.converged for p in got.pairs] == [p.converged for p in expected.pairs]
+        assert got.tails.tolist() == expected.tails.tolist()
+        assert got.converged.tolist() == expected.converged.tolist()
         assert (got.cutoff, got.tail_fraction, got.tolerance) == (128, tail_fraction, tolerance)
 
     def test_k_clamped_to_dimension(self):
@@ -626,7 +624,7 @@ class TestFullChainSolve:
         ref = unsplit_reference(params, cutoff, k, tail_fraction, tolerance)
         assert len(got.pairs) == len(ref.pairs) == min(k, 2 * cutoff)
         assert_values_close(got, ref)
-        assert [p.converged for p in got.pairs] == [p.converged for p in ref.pairs]
+        assert got.converged.tolist() == ref.converged.tolist()
         gaps = np.diff(values_of(ref))
         isolated = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) > 1e-8
         assert isolated.sum() >= len(gaps) // 2
@@ -699,6 +697,28 @@ class TestRefineIntegration:
         assert len(probes) <= 15
 
 
+class TestCollapseRule:
+    """SweepRow.collapsed and .exceptional follow from error and the count."""
+
+    @pytest.mark.parametrize(
+        "count,error,collapsed,exceptional",
+        [
+            (25, None, False, False),
+            (2, None, False, False),
+            (1, None, True, True),
+            (0, None, True, False),
+            (FAILURE_COUNT, "ValueError: boom", False, False),
+        ],
+    )
+    def test_flags_follow_the_count(self, count, error, collapsed, exceptional):
+        row = make_row(0.25, count, error=error)
+        assert (row.collapsed, row.exceptional) == (collapsed, exceptional)
+
+    def test_flags_are_not_stored(self):
+        names = [f.name for f in dataclasses.fields(SweepRow)]
+        assert "collapsed" not in names and "exceptional" not in names
+
+
 class TestExceptionalState:
     def test_critical_point_survivor(self):
         row = make_row(0.25, 1, cutoff=8192)
@@ -719,7 +739,7 @@ class TestExceptionalState:
             exceptional_state(row)
 
     def test_rejects_row_whose_resolve_disagrees(self):
-        # claims exceptional but the re-solve finds a full ladder
-        row = make_row(0.1, 1, exceptional=True, collapsed=True)
+        # claims one survivor but the re-solve finds a full ladder
+        row = make_row(0.1, 1)
         with pytest.raises(ValueError, match="expected exactly 1"):
             exceptional_state(row)
