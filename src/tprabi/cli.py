@@ -20,7 +20,7 @@ from .analytic import (
     SpectralCollapseError,
     classify_regime,
     critical_coupling,
-    degenerate_energies,
+    degenerate_spectrum,
     fock_to_position,
     hermite_gauss,
     plane_wave,
@@ -36,7 +36,14 @@ from .model import (
     build_subspace_tridiagonal,
     subspace_from_name,
 )
-from .solver import align_spectra, convergence_filter, solve_hermitian, solve_tridiagonal
+from .solver import (
+    DEFAULT_TAIL_FRACTION,
+    DEFAULT_TOLERANCE,
+    align_spectra,
+    convergence_filter,
+    solve_hermitian,
+    solve_tridiagonal,
+)
 from .sweep import (
     RelativeComb,
     SweepConfig,
@@ -57,12 +64,16 @@ def _fmt(value: float) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write through a temp file so failures never leave partial output."""
+    """Write through a temp file so failures never leave partial output. The
+    file gets the mode open(path, "w") gives a new file, not mkstemp's 0600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tprabi-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -278,7 +289,7 @@ def sweep_csv(result) -> str:
                     _fmt(row.omega0),
                     _fmt(row.omega),
                     _fmt(row.g2),
-                    str(row.cutoff),
+                    str(result.config.cutoff),
                     row.subspace.name,
                     str(row.converged_count),
                     str(int(row.collapsed)),
@@ -363,12 +374,11 @@ def _oracle_degenerate(cutoff: int) -> float:
     worst = 0.0
     for g2 in (0.0, 0.1, 0.2):
         params = ModelParams(0.0, 0.45, g2)
-        data = classify_regime(params)
         for label in ALL_SUBSPACES:
             values = solve_point(params, label, 8 * cutoff, 12).converged_values[:5]
             if len(values) < 5:
                 return float("inf")
-            exact = degenerate_energies(data.alpha_plus, data.alpha_minus, label.bargmann_q, 5)
+            exact = degenerate_spectrum(params, label, 5)
             worst = max(worst, float(np.max(np.abs(values - exact) / exact)))
     return worst
 
@@ -505,8 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--cutoff", type=int, required=True)
     spectrum.add_argument("--subspace", choices=SUBSPACE_CHOICES, required=True)
     spectrum.add_argument("--count", type=int, default=25)
-    spectrum.add_argument("--tail-fraction", type=float, default=0.2, dest="tail_fraction")
-    spectrum.add_argument("--tol", type=float, default=1e-6)
+    spectrum.add_argument(
+        "--tail-fraction", type=float, default=DEFAULT_TAIL_FRACTION, dest="tail_fraction"
+    )
+    spectrum.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     spectrum.add_argument("--out", default=None)
     spectrum.set_defaults(func=cmd_spectrum)
 

@@ -14,10 +14,6 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-# In the interleaved qubit (x) Fock ordering (index = 2n + s, s = 0 spin-up)
-# no builder couples states farther apart than this.
-FULL_BANDWIDTH = 5
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -141,18 +137,11 @@ class TridiagonalMatrix:
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Dense Hermitian matrix, checked exactly Hermitian on construction.
-
-    qubit_dim is 2 for qubit (x) Fock matrices in the interleaved ordering
-    (index 2n + s) and 1 for boson-only ones.
-    """
+    """Dense Hermitian matrix, checked exactly Hermitian on construction."""
 
     data: np.ndarray
-    qubit_dim: int = 1
 
     def __post_init__(self) -> None:
-        if self.qubit_dim not in (1, 2):
-            raise ValueError(f"qubit_dim must be 1 or 2, got {self.qubit_dim}")
         data = np.asarray(self.data)
         if not np.all(np.isfinite(data)):
             raise ValueError("matrix entries must be finite")
@@ -165,9 +154,6 @@ class HermitianMatrix:
     @property
     def dimension(self) -> int:
         return self.data.shape[0]
-
-    def to_dense(self) -> np.ndarray:
-        return self.data.copy()
 
 
 # interleaved indices 2n + s of a block of the full model, and the block
@@ -186,15 +172,10 @@ def _check_cutoff(cutoff: int, minimum: int) -> None:
         raise ValueError(f"cutoff {cutoff} too small, need at least {minimum}")
 
 
-def _package(band: np.ndarray, qubit_dim: int) -> HermitianMatrix:
-    """Dense matrix from its lower bands, band[r, j] = A[j + r, j]; the upper
+def _hermitian(lower: np.ndarray) -> HermitianMatrix:
+    """The Hermitian matrix whose lower triangle is lower's; the upper
     triangle is the conjugate of the lower."""
-    rows, dim = band.shape
-    out = np.zeros((dim, dim), dtype=band.dtype)
-    for r in range(min(rows, dim)):  # tiny matrices cannot hold every band
-        idx = np.arange(dim - r)
-        out[idx + r, idx] = band[r, : dim - r]
-    return HermitianMatrix(out + np.triu(out.conj().T, 1), qubit_dim)
+    return HermitianMatrix(lower + np.triu(lower.conj().T, 1))
 
 
 def _quadrature_bands(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,16 +198,17 @@ def build_full_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
     """
     _check_cutoff(cutoff, 2)
     N = cutoff
-    band = np.zeros((FULL_BANDWIDTH + 1, 2 * N))
+    h = np.zeros((2 * N, 2 * N))
     n = np.arange(N, dtype=float)
-    band[0, 0::2] = params.omega * n + params.omega0 / 2.0
-    band[0, 1::2] = params.omega * n - params.omega0 / 2.0
-    if N > 2:
-        m = np.arange(N - 2, dtype=float)
-        pair = params.g2 * np.sqrt((m + 1.0) * (m + 2.0))
-        band[5, 0 : 2 * (N - 2) : 2] = pair
-        band[3, 1 : 2 * (N - 2) : 2] = pair
-    return _package(band, qubit_dim=2)
+    up = 2 * np.arange(N)  # |n, up> sits at 2n, |n, down> at 2n + 1
+    lo = up[: N - 2]  # |m, up> for every m whose m + 2 is in the basis
+    h[up, up] = params.omega * n + params.omega0 / 2.0
+    h[up + 1, up + 1] = params.omega * n - params.omega0 / 2.0
+    m = np.arange(N - 2, dtype=float)
+    pair = params.g2 * np.sqrt((m + 1.0) * (m + 2.0))
+    h[lo + 5, lo] = pair  # <m+2, down|H|m, up>
+    h[lo + 4, lo + 1] = pair  # <m+2, up|H|m, down>
+    return _hermitian(h)
 
 
 def full_fock_chains(params: ModelParams, cutoff: int) -> list[Chain]:
@@ -255,15 +237,16 @@ def build_phase_space(params: ModelParams, cutoff: int) -> HermitianMatrix:
     _check_cutoff(cutoff, 2)
     N = cutoff
     diag, off2 = _quadrature_bands(N)
-    band = np.zeros((FULL_BANDWIDTH + 1, 2 * N))
+    h = np.zeros((2 * N, 2 * N))
+    up = 2 * np.arange(N)
+    lo = up[: N - 2]
     # (alpha_+ + alpha_-)/2 = omega for both spin blocks on the diagonal
-    band[0, 0::2] = params.omega * diag
-    band[0, 1::2] = params.omega * diag
-    band[1, 0::2] = params.omega0 / 2.0
-    if N > 2:
-        band[4, 0 : 2 * (N - 2) : 2] = -2.0 * params.g2 * off2
-        band[4, 1 : 2 * (N - 2) : 2] = 2.0 * params.g2 * off2
-    return _package(band, qubit_dim=2)
+    h[up, up] = params.omega * diag
+    h[up + 1, up + 1] = params.omega * diag
+    h[up + 1, up] = params.omega0 / 2.0
+    h[lo + 4, lo] = -2.0 * params.g2 * off2
+    h[lo + 5, lo + 1] = 2.0 * params.g2 * off2
+    return _hermitian(h)
 
 
 def build_rotated_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
@@ -274,18 +257,19 @@ def build_rotated_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
     _check_cutoff(cutoff, 2)
     N = cutoff
     diag, off2 = _quadrature_bands(N)
-    band = np.zeros((FULL_BANDWIDTH + 1, 2 * N), dtype=complex)
-    band[0, 0::2] = params.omega * diag
-    band[0, 1::2] = params.omega * diag
-    if N > 2:
-        band[4, 0 : 2 * (N - 2) : 2] = -2.0 * params.g2 * off2
-        band[4, 1 : 2 * (N - 2) : 2] = -2.0 * params.g2 * off2
+    h = np.zeros((2 * N, 2 * N), dtype=complex)
+    up = 2 * np.arange(N)
+    lo = up[: N - 2]
+    h[up, up] = params.omega * diag
+    h[up + 1, up + 1] = params.omega * diag
+    h[lo + 4, lo] = -2.0 * params.g2 * off2
+    h[lo + 5, lo + 1] = -2.0 * params.g2 * off2
     n = np.arange(N, dtype=float)
     phases = np.exp(-1j * np.pi * (n + 0.5) / 2.0)
-    # upper block <2n|H|2n+1> = (omega0/2) * phase; the stored lower band
+    # upper block <2n|H|2n+1> = (omega0/2) * phase; the lower triangle
     # carries its conjugate
-    band[1, 0::2] = (params.omega0 / 2.0) * np.conj(phases)
-    return _package(band, qubit_dim=2)
+    h[up + 1, up] = (params.omega0 / 2.0) * np.conj(phases)
+    return _hermitian(h)
 
 
 def build_subspace_tridiagonal(
@@ -309,5 +293,4 @@ def build_subspace_tridiagonal(
 def boson_parity(cutoff: int) -> HermitianMatrix:
     """Diagonal Fock-parity operator with entries (-1)^n."""
     _check_cutoff(cutoff, 1)
-    band = ((-1.0) ** np.arange(cutoff, dtype=float))[np.newaxis, :]
-    return _package(band, qubit_dim=1)
+    return _hermitian(np.diag((-1.0) ** np.arange(cutoff, dtype=float)))

@@ -18,6 +18,10 @@ from .model import Chain, HermitianMatrix, TridiagonalMatrix
 
 _SIGNIFICANT = 1e-8  # amplitude magnitude that fixes the canonical sign
 
+# the filter's settings wherever a caller gives none
+DEFAULT_TAIL_FRACTION = 0.2
+DEFAULT_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -73,7 +77,9 @@ class Alignment(NamedTuple):
     residual: float
 
 
-def tail_norm_of(vector: np.ndarray, tail_fraction: float = 0.2, qubit_dim: int = 1) -> float:
+def tail_norm_of(
+    vector: np.ndarray, tail_fraction: float = DEFAULT_TAIL_FRACTION, qubit_dim: int = 1
+) -> float:
     """l2 norm of the last ceil(tail_fraction * N) Fock levels of a vector.
 
     For qubit-tensored vectors in interleaved ordering the tail spans those
@@ -147,8 +153,8 @@ def solve_hermitian(matrix: HermitianMatrix, k: int) -> list[EigenPair]:
 
 def convergence_filter(
     pairs: Sequence[EigenPair],
-    tail_fraction: float = 0.2,
-    tolerance: float = 1e-6,
+    tail_fraction: float = DEFAULT_TAIL_FRACTION,
+    tolerance: float = DEFAULT_TOLERANCE,
     qubit_dim: int = 1,
 ) -> FilteredSpectrum:
     """Judge a batch of eigenpairs by their tail norms, sorted by value.

@@ -16,7 +16,7 @@ import pickle
 import threading
 import traceback
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Iterable, NoReturn, Optional, Sequence, Union
+from typing import BinaryIO, Iterable, NamedTuple, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .model import (
     require_integer,
 )
 from .solver import (
+    DEFAULT_TAIL_FRACTION,
+    DEFAULT_TOLERANCE,
     EigenPair,
     FilteredSpectrum,
     convergence_filter,
@@ -41,7 +43,14 @@ from .solver import (
 FAILURE_COUNT = -1  # converged_count marker for rows whose solve failed
 ROWS_PER_WORKER = 16  # a sweep forks one worker per this many rows, up to the CPUs
 
-GridPoint = tuple[float, float, float, Subspace]  # (omega0, omega, g2, subspace)
+
+class GridPoint(NamedTuple):
+    """One point of a sweep grid; a SweepRow carries the same four fields."""
+
+    omega0: float
+    omega: float
+    g2: float
+    subspace: Subspace
 
 
 @dataclass(frozen=True)
@@ -78,8 +87,8 @@ class SweepConfig:
     subspaces: tuple[Subspace, ...]
     cutoff: int
     requested_eigenpairs: int = 25
-    tail_fraction: float = 0.2
-    tolerance: float = 1e-6
+    tail_fraction: float = DEFAULT_TAIL_FRACTION
+    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega0_grid", tuple(float(v) for v in self.omega0_grid))
@@ -91,10 +100,17 @@ class SweepConfig:
         object.__setattr__(self, "subspaces", tuple(self.subspaces))
         if not self.omega0_grid or not self.omega_grid:
             raise ValueError("omega0 and omega grids must be non-empty")
-        if isinstance(self.coupling_spec, RelativeComb) and min(self.omega_grid) <= 0:
-            raise ValueError("a relative coupling comb needs every omega > 0")
+        absolute = () if isinstance(self.coupling_spec, RelativeComb) else self.coupling_spec
         if isinstance(self.coupling_spec, tuple) and not self.coupling_spec:
             raise ValueError("coupling list must be non-empty")
+        # negative values stay failure rows; nan and inf are no grid at all
+        for name, values in (
+            ("omega0", self.omega0_grid), ("omega", self.omega_grid), ("g2", absolute)
+        ):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} values must be finite, got {values}")
+        if isinstance(self.coupling_spec, RelativeComb) and min(self.omega_grid) <= 0:
+            raise ValueError("a relative coupling comb needs every omega > 0")
         if not self.subspaces:
             raise ValueError("subspace list must be non-empty")
         for sub in self.subspaces:
@@ -121,7 +137,8 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Collapse diagnostics at one grid point.
+    """Collapse diagnostics at one grid point, solved with the settings of
+    its sweep's SweepConfig.
 
     converged_count is -1 when the solve failed (see error); energies list
     only the converged values, ascending.
@@ -131,10 +148,6 @@ class SweepRow:
     omega: float
     g2: float
     subspace: Subspace
-    cutoff: int
-    eigenpairs: int
-    tail_fraction: float
-    tolerance: float
     converged_count: int
     energies: tuple[float, ...]
     error: Optional[str] = None
@@ -166,20 +179,24 @@ class SweepResult:
         omega: float,
         subspace: Optional[Subspace] = None,
     ) -> list[SweepRow]:
-        rows = [r for r in self.rows if r.omega0 == omega0 and r.omega == omega]
-        if subspace is None:
-            _require_one_subspace({r.subspace for r in rows})
-        else:
-            rows = [r for r in rows if r.subspace == subspace]
-        return rows
+        return _select(self.rows, omega0, omega, subspace)
 
 
-def _require_one_subspace(present: set) -> None:
+def _select(
+    items: Iterable, omega0: float, omega: float, subspace: Optional[Subspace]
+) -> list:
+    """The rows (or grid points) of one slice, in grid order. Without a
+    subspace the slice must hold only one."""
+    items = [x for x in items if x.omega0 == omega0 and x.omega == omega]
+    if subspace is not None:
+        return [x for x in items if x.subspace == subspace]
+    present = {x.subspace for x in items}
     if len(present) > 1:
         raise ValueError(
             f"slice holds {len(present)} subspaces, pass one of "
             f"{sorted(s.name for s in present)}"
         )
+    return items
 
 
 @dataclass(frozen=True)
@@ -204,8 +221,8 @@ def solve_point(
     subspace: Subspace,
     cutoff: int,
     k: int,
-    tail_fraction: float = 0.2,
-    tolerance: float = 1e-6,
+    tail_fraction: float = DEFAULT_TAIL_FRACTION,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> FilteredSpectrum:
     """Build one sector (or the full model), solve its k lowest eigenpairs and
     judge them with the tail-norm filter.
@@ -223,40 +240,30 @@ def solve_point(
     return convergence_filter(pairs, tail_fraction, tolerance, qubit_dim)
 
 
+def _solve_with(
+    config: SweepConfig, params: ModelParams, subspace: Subspace
+) -> FilteredSpectrum:
+    """solve_point with the config's cutoff, eigenpair count and filter."""
+    return solve_point(
+        params,
+        subspace,
+        config.cutoff,
+        config.requested_eigenpairs,
+        config.tail_fraction,
+        config.tolerance,
+    )
+
+
 def _solve_point(
     config: SweepConfig, omega0: float, omega: float, g2: float, subspace: Subspace
 ) -> SweepRow:
-    base = dict(
-        omega0=omega0,
-        omega=omega,
-        g2=g2,
-        subspace=subspace,
-        cutoff=config.cutoff,
-        eigenpairs=config.requested_eigenpairs,
-        tail_fraction=config.tail_fraction,
-        tolerance=config.tolerance,
-    )
     try:
-        filtered = solve_point(
-            ModelParams(omega0, omega, g2),
-            subspace,
-            config.cutoff,
-            config.requested_eigenpairs,
-            config.tail_fraction,
-            config.tolerance,
-        )
+        filtered = _solve_with(config, ModelParams(omega0, omega, g2), subspace)
     except (ValueError, np.linalg.LinAlgError) as exc:  # numerical failures become rows
-        return SweepRow(
-            converged_count=FAILURE_COUNT,
-            energies=(),
-            error=f"{type(exc).__name__}: {exc}",
-            **base,
-        )
-    return SweepRow(
-        converged_count=filtered.converged_count,
-        energies=tuple(float(v) for v in filtered.converged_values),
-        **base,
-    )
+        error = f"{type(exc).__name__}: {exc}"
+        return SweepRow(omega0, omega, g2, subspace, FAILURE_COUNT, (), error)
+    energies = tuple(float(v) for v in filtered.converged_values)
+    return SweepRow(omega0, omega, g2, subspace, filtered.converged_count, energies)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -268,13 +275,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     forked processes; the rows and their order are the serial ones. Without
     os.fork, or while other threads run, every sweep is serial.
     """
-    points = [
-        (w0, w, float(g), sub)
-        for w0 in config.omega0_grid
-        for w in config.omega_grid
-        for g in config.couplings_for(w)
-        for sub in config.subspaces
-    ]
+    points = _grid_points(config)
     workers = min(_available_cpus(), len(points) // ROWS_PER_WORKER)
     # a forked child holds only the calling thread: a lock another thread
     # held at the fork would stay held there, so threaded callers stay serial
@@ -285,6 +286,17 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         shares = [points[a:b] for a, b in zip(bounds, bounds[1:])]
         rows = _solve_forked(config, shares)
     return SweepResult(config, tuple(rows))
+
+
+def _grid_points(config: SweepConfig) -> list[GridPoint]:
+    """Every point of the survey, ordered as run_sweep orders its rows."""
+    return [
+        GridPoint(w0, w, float(g), sub)
+        for w0 in config.omega0_grid
+        for w in config.omega_grid
+        for g in config.couplings_for(w)
+        for sub in config.subspaces
+    ]
 
 
 def _available_cpus() -> int:
@@ -408,21 +420,6 @@ def detect_collapse(
     return _first_collapse(couplings, rows)
 
 
-def _slice_couplings(
-    config: SweepConfig, omega0: float, omega: float, subspace: Optional[Subspace]
-) -> list[float]:
-    """The couplings of the slice run_sweep(config) would hold, validated
-    exactly as detect_collapse validates them."""
-    copies = config.omega0_grid.count(omega0) * config.omega_grid.count(omega)
-    if copies and subspace is None:
-        _require_one_subspace(set(config.subspaces))
-    copies *= len(config.subspaces) if subspace is None else config.subspaces.count(subspace)
-    couplings = [float(g) for g in config.couplings_for(omega)] if copies else []
-    # a grid value listed twice repeats the slice, which is then not increasing
-    _check_comb(couplings * copies)
-    return couplings
-
-
 def locate_collapse(
     config: SweepConfig,
     omega0: float,
@@ -444,13 +441,14 @@ def locate_collapse(
     that no probe lands on cannot be seen: with counts 25, 0, 25, 25, 0 the
     scan reports the second point and this search the last.
     """
-    couplings = _slice_couplings(config, omega0, omega, subspace)
-    sub = subspace if subspace is not None else config.subspaces[0]
+    points = _select(_grid_points(config), omega0, omega, subspace)
+    couplings = [p.g2 for p in points]
+    _check_comb(couplings)
     probed: dict[int, SweepRow] = {}
 
     def row(i: int) -> SweepRow:
         if i not in probed:
-            probed[i] = _solve_point(config, omega0, omega, couplings[i], sub)
+            probed[i] = _solve_point(config, *points[i])
         return probed[i]
 
     def scan() -> CollapseEstimate:
@@ -485,8 +483,9 @@ def refine_comb(config: SweepConfig, center: float) -> SweepConfig:
     return replace(config, coupling_spec=tuple(float(g) for g in points))
 
 
-def exceptional_state(row: SweepRow) -> ExceptionalState:
-    """Re-solve an exceptional row and report the lone converged pair.
+def exceptional_state(config: SweepConfig, row: SweepRow) -> ExceptionalState:
+    """Re-solve an exceptional row of a sweep of config, with the config's
+    solve settings, and report the lone converged pair.
 
     The overlap is the inner-product magnitude against the numeric ground
     state of the same subspace at 0.98 times the critical coupling.
@@ -495,15 +494,13 @@ def exceptional_state(row: SweepRow) -> ExceptionalState:
         raise ValueError("row is not flagged exceptional")
 
     params = ModelParams(row.omega0, row.omega, row.g2)
-    survivors = solve_point(
-        params, row.subspace, row.cutoff, row.eigenpairs, row.tail_fraction, row.tolerance
-    ).converged_pairs
+    survivors = _solve_with(config, params, row.subspace).converged_pairs
     if len(survivors) != 1:
         raise ValueError(
             f"re-solve found {len(survivors)} converged pairs, expected exactly 1"
         )
     lone = survivors[0]
     near = ModelParams(row.omega0, row.omega, 0.98 * critical_coupling(row.omega))
-    ground = solve_point(near, row.subspace, row.cutoff, 1).pairs[0]
+    ground = solve_point(near, row.subspace, config.cutoff, 1).pairs[0]
     overlap = float(abs(np.vdot(lone.vector, ground.vector)))
     return ExceptionalState(lone, overlap)

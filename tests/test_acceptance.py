@@ -21,6 +21,7 @@ from tprabi import (
     ALL_SUBSPACES,
     ModelParams,
     SubspaceLabel,
+    SweepConfig,
     SweepRow,
     align_spectra,
     boson_parity,
@@ -154,19 +155,16 @@ class TestCriterion4ExceptionalState:
                 name, False, f"{count} eigenpairs pass the filter, need exactly 1"
             )
             assert count == 1
+        config = SweepConfig((omega0,), (omega,), (gc,), (Q14P,), cutoff)
         row = SweepRow(
             omega0=omega0,
             omega=omega,
             g2=gc,
             subspace=Q14P,
-            cutoff=cutoff,
-            eigenpairs=25,
-            tail_fraction=0.2,
-            tolerance=1e-6,
             converged_count=1,
             energies=tuple(filtered.converged_values),
         )
-        overlap = exceptional_state(row).overlap
+        overlap = exceptional_state(config, row).overlap
         ok = overlap > 0.9
         criterion_report(
             name, ok, f"single survivor, overlap {overlap:.4f} (need > 0.9)"
@@ -258,11 +256,11 @@ class TestCriterion7PropertySuites:
         failures = []
         params = ModelParams(0.7, 0.6, 0.15)
 
-        h = build_full_fock(params, 64).to_dense()
+        h = build_full_fock(params, 64).data
         if not np.array_equal(h, h.conj().T):
             failures.append("hermiticity")
 
-        parity = np.kron(boson_parity(64).to_dense(), np.eye(2))
+        parity = np.kron(boson_parity(64).data, np.eye(2))
         if not np.array_equal(parity @ h, h @ parity.conj()):
             failures.append("parity commutation")
 

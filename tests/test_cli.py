@@ -255,7 +255,8 @@ class TestSweepCommand:
         assert code == 2 and out == "" and "omega" in err
 
     # each used to exit 0: a nan tolerance reported g_c ~= 0 with every row
-    # collapsed, and an infinite comb end gave nan/inf failure rows
+    # collapsed, and an infinite comb end or a non-finite grid value gave
+    # nan/inf failure rows
     @pytest.mark.parametrize(
         "old,new,fragment",
         [
@@ -263,6 +264,9 @@ class TestSweepCommand:
             ("cutoff = 1024", "cutoff = 1024\ntolerance = inf", "tolerance"),
             ("grid(0, 2, 9)", "grid(0, inf, 3)", "finite"),
             ("grid(0, 2, 9)", "grid(0, nan, 3)", "finite"),
+            ("omega0 = 1.0", "omega0 = nan", "finite"),
+            ("omega = 0.5", "omega = inf", "finite"),
+            ("g2_rel = grid(0, 2, 9)", "g2 = 0.1, nan, 0.2", "finite"),
         ],
     )
     def test_non_finite_settings_exit_two(self, tmp_path, capsys, old, new, fragment):
@@ -270,6 +274,31 @@ class TestSweepCommand:
         config.write_text(GOOD_CONFIG.replace(old, new))
         code, out, err = run_cli(["sweep", str(config)], capsys)
         assert code == 2 and out == "" and fragment in err
+
+
+class TestOutFileMode:
+    """--out files get the mode open(path, "w") gives a new file."""
+
+    @pytest.mark.parametrize(
+        "umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+    )
+    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
+    def test_mode_follows_umask(self, tmp_path, capsys, command, umask, mode):
+        config = tmp_path / "survey.cfg"
+        config.write_text(GOOD_CONFIG.replace("1024", "256"))
+        out = tmp_path / "out.csv"
+        argv = {
+            "spectrum": "spectrum --omega0 0 --omega 1 --g2 0 --cutoff 64"
+            " --subspace q14+ --count 2".split(),
+            "sweep": ["sweep", str(config)],
+        }[command] + ["--out", str(out)]
+        previous = os.umask(umask)
+        try:
+            code, _, _ = run_cli(argv, capsys)
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert os.stat(out).st_mode & 0o777 == mode
 
 
 class TestOracleCommand:

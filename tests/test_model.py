@@ -34,7 +34,7 @@ params_st = st.builds(
 
 
 def eigenvalues(matrix: HermitianMatrix) -> np.ndarray:
-    return np.linalg.eigvalsh(matrix.to_dense())
+    return np.linalg.eigvalsh(matrix.data)
 
 
 class TestModelParams:
@@ -117,7 +117,7 @@ class TestFullFock:
 
     def test_number_operator_point(self):
         h = build_full_fock(ModelParams(0.0, 1.0, 0.0), 3)
-        assert np.array_equal(h.to_dense(), np.diag([0.0, 0.0, 1.0, 1.0, 2.0, 2.0]))
+        assert np.array_equal(h.data, np.diag([0.0, 0.0, 1.0, 1.0, 2.0, 2.0]))
 
     def test_frozen_ground_energy(self):
         h = build_full_fock(ModelParams(1.0, 0.5, 0.1), 64)
@@ -126,7 +126,7 @@ class TestFullFock:
 
     def test_two_photon_element(self):
         # <n+2, down | H | n, up> = g2 sqrt((n+1)(n+2))
-        h = build_full_fock(ModelParams(0.3, 0.7, 0.2), 8).to_dense()
+        h = build_full_fock(ModelParams(0.3, 0.7, 0.2), 8).data
         n = 3
         up, flipped = 2 * n, 2 * (n + 2) + 1
         assert h[flipped, up] == pytest.approx(0.2 * np.sqrt(4 * 5), abs=1e-15)
@@ -139,8 +139,8 @@ class TestFullFock:
         params = ModelParams(1.0, 0.5, 0.2)
         big = build_full_fock(params, 512)
         small = build_full_fock(params, 512 - 480)
-        sub = big.to_dense()[: small.dimension, : small.dimension]
-        assert np.array_equal(sub, small.to_dense())
+        sub = big.data[: small.dimension, : small.dimension]
+        assert np.array_equal(sub, small.data)
 
 
 class TestFullFockChains:
@@ -157,7 +157,7 @@ class TestFullFockChains:
             dense[idx, idx] = chain.diag
             dense[idx[1:], idx[:-1]] = chain.offdiag
             dense[idx[:-1], idx[1:]] = chain.offdiag
-        assert np.array_equal(dense, build_full_fock(params, cutoff).to_dense())
+        assert np.array_equal(dense, build_full_fock(params, cutoff).data)
 
     @pytest.mark.parametrize("cutoff,lengths", [(2, [1, 1, 1, 1]), (5, [3, 3, 2, 2])])
     def test_chain_lengths(self, cutoff, lengths):
@@ -177,7 +177,7 @@ class TestPhaseSpace:
         assert np.allclose(vals[:4], [0.5, 0.5, 1.5, 1.5], atol=1e-14)
 
     def test_hermitian_by_construction(self):
-        h = build_phase_space(ModelParams(1.0, 1.0, 0.0), 2).to_dense()
+        h = build_phase_space(ModelParams(1.0, 1.0, 0.0), 2).data
         assert np.array_equal(h, h.conj().T)
 
     def test_spectrum_shifted_from_full(self):
@@ -190,16 +190,16 @@ class TestPhaseSpace:
 
 class TestRotatedFock:
     def test_block_diagonal_when_degenerate(self):
-        h = build_rotated_fock(ModelParams(0.0, 0.8, 0.3), 6).to_dense()
+        h = build_rotated_fock(ModelParams(0.0, 0.8, 0.3), 6).data
         assert np.all(h[0::2, 1::2] == 0)
         assert np.array_equal(h[0::2, 0::2], h[1::2, 1::2])
 
     def test_hermitian_by_construction(self):
-        h = build_rotated_fock(ModelParams(1.0, 1.0, 0.0), 4).to_dense()
+        h = build_rotated_fock(ModelParams(1.0, 1.0, 0.0), 4).data
         assert np.array_equal(h, h.conj().T)
 
     def test_coupling_phases(self):
-        h = build_rotated_fock(ModelParams(2.0, 1.0, 0.0), 4).to_dense()
+        h = build_rotated_fock(ModelParams(2.0, 1.0, 0.0), 4).data
         n = np.arange(4)
         expected = np.exp(-1j * np.pi * (n + 0.5) / 2.0)
         assert np.allclose(np.diag(h[0::2, 1::2]), expected, atol=1e-15)
@@ -255,24 +255,69 @@ class TestSubspaceTridiagonal:
 class TestBosonParity:
     def test_alternating_diagonal(self):
         p = boson_parity(4)
-        assert np.array_equal(p.to_dense(), np.diag([1.0, -1.0, 1.0, -1.0]))
+        assert np.array_equal(p.data, np.diag([1.0, -1.0, 1.0, -1.0]))
 
     def test_involution(self):
-        p = boson_parity(16).to_dense()
+        p = boson_parity(16).data
         assert np.array_equal(p @ p, np.eye(16))
 
     @given(params_st, st.sampled_from([8, 32, 256]))
     def test_commutes_with_full_model(self, params, cutoff):
-        h = build_full_fock(params, cutoff).to_dense()
-        p = np.kron(boson_parity(cutoff).to_dense(), np.eye(2))
+        h = build_full_fock(params, cutoff).data
+        p = np.kron(boson_parity(cutoff).data, np.eye(2))
         assert np.array_equal(h @ p, p @ h)
 
 
+def elementwise_reference(builder, params, cutoff):
+    """The builder's matrix assembled entry by entry from its documented
+    matrix elements, both triangles written explicitly."""
+    N = cutoff
+    complex_phases = builder is build_rotated_fock
+    h = np.zeros((2 * N, 2 * N), dtype=complex if complex_phases else float)
+
+    def put(i, j, value):
+        h[i, j] = value
+        h[j, i] = np.conj(value)
+
+    phases = np.exp(-1j * np.pi * (np.arange(N) + 0.5) / 2.0)
+    for n in range(N):
+        if builder is build_full_fock:
+            put(2 * n, 2 * n, params.omega * n + params.omega0 / 2.0)
+            put(2 * n + 1, 2 * n + 1, params.omega * n - params.omega0 / 2.0)
+        else:
+            put(2 * n, 2 * n, params.omega * (n + 0.5))
+            put(2 * n + 1, 2 * n + 1, params.omega * (n + 0.5))
+            if complex_phases:
+                put(2 * n, 2 * n + 1, (params.omega0 / 2.0) * phases[n])
+            else:
+                put(2 * n + 1, 2 * n, params.omega0 / 2.0)
+    for m in range(N - 2):
+        root = np.sqrt((m + 1.0) * (m + 2.0))
+        if builder is build_full_fock:
+            put(2 * m + 5, 2 * m, params.g2 * root)
+            put(2 * m + 4, 2 * m + 1, params.g2 * root)
+        else:
+            put(2 * m + 4, 2 * m, -2.0 * params.g2 * (root / 2.0))
+            sign = -1.0 if complex_phases else 1.0
+            put(2 * m + 5, 2 * m + 1, sign * 2.0 * params.g2 * (root / 2.0))
+    return h
+
+
 class TestBuilderInvariants:
+    @pytest.mark.parametrize("builder", [build_full_fock, build_phase_space, build_rotated_fock])
+    @pytest.mark.parametrize("cutoff", [2, 3, 5, 64])
+    @pytest.mark.parametrize(
+        "point", [(1.0, 0.5, 0.2), (0.0, 0.45, 0.1), (1.0, 0.5, 0.0), (2.1, 1.0, 0.49)]
+    )
+    def test_matches_elementwise_definition(self, builder, cutoff, point):
+        params = ModelParams(*point)
+        expected = elementwise_reference(builder, params, cutoff)
+        assert np.array_equal(builder(params, cutoff).data, expected)
+
     @given(params_st, st.integers(2, 40))
     def test_exact_hermiticity(self, params, cutoff):
         for builder in (build_full_fock, build_phase_space, build_rotated_fock):
-            h = builder(params, cutoff).to_dense()
+            h = builder(params, cutoff).data
             assert np.array_equal(h, h.conj().T)
 
     @given(params_st)

@@ -131,7 +131,7 @@ class TestEigenPair:
                 rng.uniform(0, 2), rng.uniform(0.1, 1.5), rng.uniform(0, 0.5)
             )
             h = build_full_fock(params, 64)
-            dense = h.to_dense()
+            dense = h.data
             for pair in solve_hermitian(h, 6):
                 residual = np.linalg.norm(dense @ pair.vector - pair.value * pair.vector)
                 assert residual <= 1e-8 * (1 + abs(pair.value))

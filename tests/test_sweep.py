@@ -42,22 +42,8 @@ Q34P = SubspaceLabel(0.75, 1)
 SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
 
-def make_row(g2, count, *, omega0=1.0, omega=0.5, subspace=Q14P, error=None, **over):
-    fields = dict(
-        omega0=omega0,
-        omega=omega,
-        g2=g2,
-        subspace=subspace,
-        cutoff=1024,
-        eigenpairs=25,
-        tail_fraction=0.2,
-        tolerance=1e-6,
-        converged_count=count,
-        energies=(),
-        error=error,
-    )
-    fields.update(over)
-    return SweepRow(**fields)
+def make_row(g2, count, *, omega0=1.0, omega=0.5, subspace=Q14P, error=None):
+    return SweepRow(omega0, omega, g2, subspace, count, (), error)
 
 
 def make_result(rows):
@@ -127,6 +113,14 @@ class TestSweepConfig:
             # a nan tolerance used to pass and report every row as collapsed
             dict(tolerance=float("nan")),
             dict(tolerance=float("inf")),
+            # non-finite grid values used to pass and give failure rows
+            dict(omega0_grid=(float("nan"),)),
+            dict(omega0_grid=(1.0, float("inf"))),
+            dict(omega_grid=(float("inf"),)),
+            dict(omega_grid=(float("nan"),), coupling_spec=RelativeComb(2, 0.0, 2.0)),
+            dict(omega_grid=(float("inf"),), coupling_spec=RelativeComb(2, 0.0, 2.0)),
+            dict(coupling_spec=(0.1, float("nan"), 0.2)),
+            dict(coupling_spec=(float("-inf"),)),
         ],
     )
     def test_validation(self, kwargs):
@@ -717,29 +711,34 @@ class TestCollapseRule:
     def test_flags_are_not_stored(self):
         names = [f.name for f in dataclasses.fields(SweepRow)]
         assert "collapsed" not in names and "exceptional" not in names
+        # the solve settings live on the sweep's SweepConfig, never on a row
+        for setting in ("cutoff", "eigenpairs", "tail_fraction", "tolerance"):
+            assert setting not in names
 
 
 class TestExceptionalState:
+    CONFIG = SweepConfig((1.0,), (0.5,), (0.1, 0.25), (Q14P,), 1024)
+
     def test_critical_point_survivor(self):
-        row = make_row(0.25, 1, cutoff=8192)
-        state = exceptional_state(row)
+        config = dataclasses.replace(self.CONFIG, cutoff=8192)
+        state = exceptional_state(config, make_row(0.25, 1))
         assert state.pair.value == pytest.approx(-0.010035201610, abs=1e-9)
         assert state.overlap == pytest.approx(0.7780010930, abs=1e-8)
         assert np.isclose(np.linalg.norm(state.pair.vector), 1.0)
 
     def test_rejects_non_exceptional_row(self):
         with pytest.raises(ValueError):
-            exceptional_state(make_row(0.25, 0))
+            exceptional_state(self.CONFIG, make_row(0.25, 0))
         with pytest.raises(ValueError):
-            exceptional_state(make_row(0.25, 25))
+            exceptional_state(self.CONFIG, make_row(0.25, 25))
 
     def test_rejects_failed_row(self):
         row = make_row(0.25, FAILURE_COUNT, error="ValueError: boom")
         with pytest.raises(ValueError):
-            exceptional_state(row)
+            exceptional_state(self.CONFIG, row)
 
     def test_rejects_row_whose_resolve_disagrees(self):
         # claims one survivor but the re-solve finds a full ladder
         row = make_row(0.1, 1)
         with pytest.raises(ValueError, match="expected exactly 1"):
-            exceptional_state(row)
+            exceptional_state(self.CONFIG, row)
