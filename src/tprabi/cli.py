@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import stat
 import sys
 import tempfile
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .model import (
     ALL_SUBSPACES,
     SUBSPACES_BY_NAME,
     ModelParams,
+    Subspace,
     SubspaceLabel,
     build_full_fock,
     build_phase_space,
@@ -65,15 +67,20 @@ def _fmt(value: float) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     """Write through a temp file so failures never leave partial output. The
-    file gets the mode open(path, "w") gives a new file, not mkstemp's 0600."""
+    file gets the mode open(path, "w") would leave, not mkstemp's 0600: an
+    existing file's own mode, else the umask's mode for a new file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tprabi-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
-        umask = os.umask(0)  # reading the umask means setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)  # reading the umask means setting it
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -102,56 +109,71 @@ class ConfigError(UsageError):
 
 _GRID_RE = re.compile(r"^grid\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)$")
 
-_CONFIG_KEYS = (
-    "omega0",
-    "omega",
-    "g2",
-    "g2_rel",
-    "subspaces",
-    "cutoff",
-    "eigenpairs",
-    "tail_fraction",
-    "tolerance",
-)
 
-
-def _parse_float(token: str, lineno: int, line: str) -> float:
+def _number(token: str, kind: type = float):
     try:
-        return float(token)
+        return kind(token)
     except ValueError:
-        raise ConfigError(f"expected a number, got {token!r}", lineno, line) from None
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"expected {noun}, got {token!r}") from None
 
 
-def _parse_int(token: str, lineno: int, line: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {token!r}", lineno, line) from None
+def _int(token: str) -> int:
+    return _number(token, int)
 
 
-def _parse_grid(value: str, lineno: int, line: str) -> Optional[tuple[float, float, int]]:
+def _grid(value: str) -> Optional[tuple[float, float, int]]:
+    """(start, stop, count) of a grid(start, stop, count) value, else None."""
     match = _GRID_RE.match(value)
     if match is None:
         return None
-    start = _parse_float(match.group(1), lineno, line)
-    stop = _parse_float(match.group(2), lineno, line)
-    count = _parse_int(match.group(3), lineno, line)
+    start, stop, count = _number(match[1]), _number(match[2]), _int(match[3])
     if count < 1:
-        raise ConfigError(f"grid count must be >= 1, got {count}", lineno, line)
+        raise ValueError(f"grid count must be >= 1, got {count}")
     return start, stop, count
 
 
-def _parse_float_list(value: str, lineno: int, line: str) -> tuple[float, ...]:
-    grid = _parse_grid(value, lineno, line)
+def _values(value: str) -> tuple[float, ...]:
+    grid = _grid(value)
     if grid is not None:
-        start, stop, count = grid
-        return tuple(float(v) for v in np.linspace(start, stop, count))
-    return tuple(_parse_float(tok.strip(), lineno, line) for tok in value.split(","))
+        return tuple(float(v) for v in np.linspace(*grid))
+    return tuple(_number(tok.strip()) for tok in value.split(","))
+
+
+def _relative_comb(value: str) -> RelativeComb:
+    grid = _grid(value)
+    if grid is None:
+        raise ValueError("g2_rel requires grid(lo, hi, count)")
+    lo, hi, count = grid
+    if count < 2:
+        raise ValueError(f"g2_rel grid needs count >= 2, got {count}")
+    return RelativeComb(steps=count - 1, lo=lo, hi=hi)
+
+
+def _subspaces(value: str) -> tuple[Subspace, ...]:
+    return tuple(subspace_from_name(tok.strip()) for tok in value.split(","))
+
+
+# config key -> (the SweepConfig field it sets, the parser of its value)
+_CONFIG_KEYS: dict[str, tuple[str, Callable[[str], Any]]] = {
+    "omega0": ("omega0_grid", _values),
+    "omega": ("omega_grid", _values),
+    "g2": ("coupling_spec", _values),
+    "g2_rel": ("coupling_spec", _relative_comb),
+    "subspaces": ("subspaces", _subspaces),
+    "cutoff": ("cutoff", _int),
+    "eigenpairs": ("requested_eigenpairs", _int),
+    "tail_fraction": ("tail_fraction", _number),
+    "tolerance": ("tolerance", _number),
+}
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
-    """Parse the line-based sweep config format into a SweepConfig."""
-    seen: dict[str, tuple[int, str, str]] = {}
+    """Parse the line-based sweep config format into a SweepConfig.
+
+    Faults are reported in line order; missing keys and the g2/g2_rel choice
+    are checked after the last line."""
+    parsed: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -164,61 +186,20 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise ConfigError(f"unknown key {key!r}", lineno, raw)
         if not value:
             raise ConfigError(f"empty value for {key!r}", lineno, raw)
-        if key in seen:
+        if key in parsed:
             raise ConfigError(f"duplicate key {key!r}", lineno, raw)
-        seen[key] = (lineno, raw, value)
-
-    for required in ("omega0", "omega", "subspaces", "cutoff"):
-        if required not in seen:
-            raise ConfigError(f"missing required key {required!r}")
-    if ("g2" in seen) == ("g2_rel" in seen):
-        raise ConfigError("exactly one of 'g2' or 'g2_rel' is required")
-
-    def value_of(key: str) -> tuple[str, int, str]:
-        lineno, raw, value = seen[key]
-        return value, lineno, raw
-
-    omega0 = _parse_float_list(*value_of("omega0"))
-    omega = _parse_float_list(*value_of("omega"))
-
-    if "g2" in seen:
-        coupling = _parse_float_list(*value_of("g2"))
-    else:
-        value, lineno, raw = value_of("g2_rel")
-        grid = _parse_grid(value, lineno, raw)
-        if grid is None:
-            raise ConfigError("g2_rel requires grid(lo, hi, count)", lineno, raw)
-        lo, hi, count = grid
-        if count < 2:
-            raise ConfigError(f"g2_rel grid needs count >= 2, got {count}", lineno, raw)
         try:
-            coupling = RelativeComb(steps=count - 1, lo=lo, hi=hi)
+            parsed[key] = _CONFIG_KEYS[key][1](value)
         except ValueError as exc:
             raise ConfigError(str(exc), lineno, raw) from None
 
-    value, lineno, raw = value_of("subspaces")
+    for required in ("omega0", "omega", "subspaces", "cutoff"):
+        if required not in parsed:
+            raise ConfigError(f"missing required key {required!r}")
+    if ("g2" in parsed) == ("g2_rel" in parsed):
+        raise ConfigError("exactly one of 'g2' or 'g2_rel' is required")
     try:
-        subspaces = tuple(subspace_from_name(tok.strip()) for tok in value.split(","))
-    except ValueError as exc:
-        raise ConfigError(str(exc), lineno, raw) from None
-
-    kwargs = {}
-    if "eigenpairs" in seen:
-        kwargs["requested_eigenpairs"] = _parse_int(*value_of("eigenpairs"))
-    if "tail_fraction" in seen:
-        kwargs["tail_fraction"] = _parse_float(*value_of("tail_fraction"))
-    if "tolerance" in seen:
-        kwargs["tolerance"] = _parse_float(*value_of("tolerance"))
-
-    try:
-        return SweepConfig(
-            omega0_grid=omega0,
-            omega_grid=omega,
-            coupling_spec=coupling,
-            subspaces=subspaces,
-            cutoff=_parse_int(*value_of("cutoff")),
-            **kwargs,
-        )
+        return SweepConfig(**{_CONFIG_KEYS[key][0]: v for key, v in parsed.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -386,8 +367,7 @@ def _oracle_degenerate(cutoff: int) -> float:
 def _oracle_hermite_gauss(cutoff: int) -> float:
     params = ModelParams(0.0, 0.5, 0.1)
     label = SubspaceLabel(0.25, 1)
-    tridiag = build_subspace_tridiagonal(label, params, 8 * cutoff)
-    ground = solve_tridiagonal(tridiag, 1)[0]
+    ground = solve_point(params, label, 8 * cutoff, 1).pairs[0]
     x = np.linspace(-10.0, 10.0, 1001)
     numeric = fock_to_position(ground.vector, x, label)
     exact = hermite_gauss(0, classify_regime(params), x)

@@ -43,13 +43,11 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class FilteredSpectrum:
-    """Eigenpairs sorted by value, the tail norm of each, and the filter
-    settings that judged them."""
+    """Eigenpairs sorted by value, the tail norm of each, and the tolerance
+    that judged them."""
 
     pairs: tuple[EigenPair, ...]
     tails: np.ndarray
-    cutoff: int
-    tail_fraction: float
     tolerance: float
 
     @property
@@ -125,21 +123,18 @@ def solve_tridiagonal(matrix: TridiagonalMatrix, k: int) -> list[EigenPair]:
 def solve_chains(chains: Sequence[Chain], k: int) -> list[EigenPair]:
     """k lowest eigenpairs of a qubit (x) Fock matrix split into tridiagonal
     chains whose indices partition its own (model.full_fock_chains); chain
-    vectors are scattered back, so the pairs are the unsplit matrix's."""
+    vectors are scattered back, so the pairs are the unsplit matrix's. Equal
+    values keep chain order."""
     dim = sum(chain.dimension for _, chain in chains)
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}], got {k}")
-    values, vectors = [], []
+    pairs = []
     for indices, chain in chains:
-        take = min(k, chain.dimension)
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
-            chain.diag, chain.offdiag, select="i", select_range=(0, take - 1)
-        )
-        full = np.zeros((dim, take))
-        full[indices] = vecs
-        values.append(vals)
-        vectors.append(full)
-    return _to_pairs(np.concatenate(values), np.hstack(vectors))[:k]
+        for pair in solve_tridiagonal(chain, min(k, chain.dimension)):
+            vector = np.zeros(dim)
+            vector[indices] = pair.vector
+            pairs.append(EigenPair(pair.value, vector))
+    return sorted(pairs, key=lambda pair: pair.value)[:k]
 
 
 def solve_hermitian(matrix: HermitianMatrix, k: int) -> list[EigenPair]:
@@ -167,14 +162,9 @@ def convergence_filter(
         raise ValueError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
-    if not pairs:
-        return FilteredSpectrum((), np.empty(0), 0, tail_fraction, tolerance)
     tails = np.array([tail_norm_of(p.vector, tail_fraction, qubit_dim) for p in pairs])
     order = np.lexsort((tails, [p.value for p in pairs]))
-    cutoff = len(pairs[0].vector) // qubit_dim
-    return FilteredSpectrum(
-        tuple(pairs[i] for i in order), tails[order], cutoff, tail_fraction, tolerance
-    )
+    return FilteredSpectrum(tuple(pairs[i] for i in order), tails[order], tolerance)
 
 
 def align_spectra(

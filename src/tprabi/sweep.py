@@ -116,6 +116,15 @@ class SweepConfig:
         for sub in self.subspaces:
             if not isinstance(sub, (SubspaceLabel, FullModel)):
                 raise ValueError(f"subspace must be a SubspaceLabel or FULL, got {sub!r}")
+        # a repeated value would solve each of its rows twice; absolute g2
+        # lists may repeat, the comb checks of collapse detection reject them
+        for name, values in (
+            ("omega0", self.omega0_grid),
+            ("omega", self.omega_grid),
+            ("subspace", tuple(sub.name for sub in self.subspaces)),
+        ):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} values must not repeat, got {values}")
         require_integer("cutoff", self.cutoff)
         require_integer("requested_eigenpairs", self.requested_eigenpairs)
         if self.cutoff < 64:
@@ -140,30 +149,34 @@ class SweepRow:
     """Collapse diagnostics at one grid point, solved with the settings of
     its sweep's SweepConfig.
 
-    converged_count is -1 when the solve failed (see error); energies list
-    only the converged values, ascending.
+    energies list only the converged values, ascending; a failed solve has
+    none and names its failure in error.
     """
 
     omega0: float
     omega: float
     g2: float
     subspace: Subspace
-    converged_count: int
     energies: tuple[float, ...]
     error: Optional[str] = None
 
     @property
-    def collapsed(self) -> bool:
-        """The collapse rule: a solved row whose converged count is <= 1.
+    def converged_count(self) -> int:
+        """FAILURE_COUNT when the solve failed, else the number of energies."""
+        return FAILURE_COUNT if self.error is not None else len(self.energies)
 
-        Failed rows (converged_count = -1) never count as collapse evidence.
+    @property
+    def collapsed(self) -> bool:
+        """The collapse rule: a solved row with at most one converged energy.
+
+        Failed rows never count as collapse evidence.
         """
-        return self.error is None and self.converged_count <= 1
+        return self.error is None and len(self.energies) <= 1
 
     @property
     def exceptional(self) -> bool:
         """A solved row with exactly one converged pair."""
-        return self.error is None and self.converged_count == 1
+        return self.error is None and len(self.energies) == 1
 
 
 @dataclass(frozen=True)
@@ -201,11 +214,15 @@ def _select(
 
 @dataclass(frozen=True)
 class CollapseEstimate:
-    """Estimated critical coupling with its one-sided comb-step uncertainty."""
+    """Estimated critical coupling with its one-sided comb-step uncertainty;
+    both are None when no collapse was found."""
 
-    found: bool
     coupling: Optional[float] = None
     step: Optional[float] = None
+
+    @property
+    def found(self) -> bool:
+        return self.coupling is not None
 
 
 @dataclass(frozen=True)
@@ -261,9 +278,9 @@ def _solve_point(
         filtered = _solve_with(config, ModelParams(omega0, omega, g2), subspace)
     except (ValueError, np.linalg.LinAlgError) as exc:  # numerical failures become rows
         error = f"{type(exc).__name__}: {exc}"
-        return SweepRow(omega0, omega, g2, subspace, FAILURE_COUNT, (), error)
+        return SweepRow(omega0, omega, g2, subspace, (), error)
     energies = tuple(float(v) for v in filtered.converged_values)
-    return SweepRow(omega0, omega, g2, subspace, filtered.converged_count, energies)
+    return SweepRow(omega0, omega, g2, subspace, energies)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -385,7 +402,7 @@ def _estimate_at(couplings: Sequence[float], i: int) -> CollapseEstimate:
     """Collapse at comb point i, with the step to the previous point (the
     leading step when i is the first point)."""
     step = couplings[i] - couplings[i - 1] if i > 0 else couplings[1] - couplings[0]
-    return CollapseEstimate(True, couplings[i], step)
+    return CollapseEstimate(couplings[i], step)
 
 
 def _first_collapse(couplings: Sequence[float], rows: Iterable[SweepRow]) -> CollapseEstimate:
@@ -393,7 +410,7 @@ def _first_collapse(couplings: Sequence[float], rows: Iterable[SweepRow]) -> Col
     for i, row in enumerate(rows):
         if row.collapsed:
             return _estimate_at(couplings, i)
-    return CollapseEstimate(False)
+    return CollapseEstimate()
 
 
 def _check_comb(couplings: Sequence[float]) -> None:
@@ -411,7 +428,7 @@ def detect_collapse(
 ) -> CollapseEstimate:
     """Smallest comb coupling whose converged count has dropped to <= 1.
 
-    Failed rows (converged_count = -1) never count as collapse evidence.
+    Failed rows never count as collapse evidence.
     The returned step is the local comb spacing at the detection point.
     """
     rows = result.slice_rows(omega0, omega, subspace)
@@ -468,7 +485,7 @@ def locate_collapse(
     # the bracket only means "first hit" if no probe failed and counts fall
     seen = [probed[i] for i in sorted(probed)]
     if any(r.error is not None for r in seen) or any(
-        b.converged_count > a.converged_count for a, b in zip(seen, seen[1:])
+        len(b.energies) > len(a.energies) for a, b in zip(seen, seen[1:])
     ):
         return scan()
     return _estimate_at(couplings, hi)

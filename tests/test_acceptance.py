@@ -161,7 +161,6 @@ class TestCriterion4ExceptionalState:
             omega=omega,
             g2=gc,
             subspace=Q14P,
-            converged_count=1,
             energies=tuple(filtered.converged_values),
         )
         overlap = exceptional_state(config, row).overlap

@@ -113,8 +113,8 @@ class TestSpectrumCommand:
 
 config_st = st.builds(
     SweepConfig,
-    omega0_grid=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
-    omega_grid=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3),
+    omega0_grid=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3, unique=True),
+    omega_grid=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3, unique=True),
     coupling_spec=st.one_of(
         st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6).map(tuple),
         st.builds(
@@ -275,18 +275,40 @@ class TestSweepCommand:
         code, out, err = run_cli(["sweep", str(config)], capsys)
         assert code == 2 and out == "" and fragment in err
 
+    # each used to exit 0 with every row solved twice and a summary that
+    # blamed the coupling comb
+    @pytest.mark.parametrize(
+        "old,new,fragment",
+        [
+            ("subspaces = q14+", "subspaces = q14+, q14+", "subspace values must not repeat"),
+            ("omega0 = 1.0", "omega0 = 1.0, 1.0", "omega0 values must not repeat"),
+        ],
+    )
+    def test_repeated_grid_values_exit_two(self, tmp_path, capsys, old, new, fragment):
+        config = tmp_path / "survey.cfg"
+        config.write_text(GOOD_CONFIG.replace(old, new))
+        code, out, err = run_cli(["sweep", str(config)], capsys)
+        assert code == 2 and out == "" and fragment in err
+
 
 class TestOutFileMode:
-    """--out files get the mode open(path, "w") gives a new file."""
+    """--out files get the mode open(path, "w") would leave: a new file's
+    mode follows the umask, and a rewritten file keeps its own (it used to
+    be reset to the umask's, 0640 to 0644 under 022)."""
 
     @pytest.mark.parametrize(
-        "umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+        "umask,existing,mode",
+        [(0o022, None, 0o644), (0o077, None, 0o600), (0o022, 0o640, 0o640)],
+        ids=["umask022", "umask077", "rewrite0640"],
     )
     @pytest.mark.parametrize("command", ["spectrum", "sweep"])
-    def test_mode_follows_umask(self, tmp_path, capsys, command, umask, mode):
+    def test_mode_follows_umask(self, tmp_path, capsys, command, umask, existing, mode):
         config = tmp_path / "survey.cfg"
         config.write_text(GOOD_CONFIG.replace("1024", "256"))
         out = tmp_path / "out.csv"
+        if existing is not None:
+            out.write_text("old\n")
+            os.chmod(out, existing)
         argv = {
             "spectrum": "spectrum --omega0 0 --omega 1 --g2 0 --cutoff 64"
             " --subspace q14+ --count 2".split(),
@@ -297,7 +319,7 @@ class TestOutFileMode:
             code, _, _ = run_cli(argv, capsys)
         finally:
             os.umask(previous)
-        assert code == 0
+        assert code == 0 and out.read_text() != "old\n"
         assert os.stat(out).st_mode & 0o777 == mode
 
 

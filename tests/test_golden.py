@@ -9,10 +9,17 @@ says why.
 The commands run in a child process with BLAS held to one thread: the dense
 full-model solve moves last digits with the BLAS thread count, so the bytes
 are only defined for a fixed count.
+
+The sweeps of the shipped ``configs/*.cfg`` are pinned by digest instead, in
+``configs.sha256``: the SHA-256 of the CSV and of the collapse summary that
+``tprabi sweep`` prints for each. They are computed in-process from one-slice
+sweeps, which the session cache shares with the collapse-location tests.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -22,9 +29,13 @@ from pathlib import Path
 import pytest
 
 import tprabi
+from tprabi import SweepResult, run_sweep
+from tprabi.cli import _sweep_summary, parse_sweep_config, sweep_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).parents[1] / "scripts"
+SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
+CONFIG_DIGESTS = GOLDEN / "configs.sha256"
 TPRABI = ["-m", "tprabi"]
 
 # name -> (interpreter argv, whether the command writes its table through --out)
@@ -90,13 +101,46 @@ def render(name: str) -> dict[str, bytes]:
     return files
 
 
+def assembled_sweep(sweep, config):
+    """run_sweep(config), assembled in grid order from the one-slice sweeps
+    sweep(single) returns for each (omega0, omega, subspace)."""
+    rows = []
+    for w0 in config.omega0_grid:
+        for w in config.omega_grid:
+            slices = [
+                sweep(
+                    dataclasses.replace(
+                        config, omega0_grid=(w0,), omega_grid=(w,), subspaces=(sub,)
+                    )
+                ).rows
+                for sub in config.subspaces
+            ]
+            rows.extend(row for point in zip(*slices) for row in point)
+    return SweepResult(config, tuple(rows))
+
+
+def config_digests(sweep) -> str:
+    """sha256sum-style lines for the CSV and the summary of each shipped sweep."""
+    lines = []
+    for path in SHIPPED_CONFIGS:
+        result = assembled_sweep(sweep, parse_sweep_config(path.read_text()))
+        for suffix, text in ((".csv", sweep_csv(result)), (".summary", _sweep_summary(result))):
+            lines.append(f"{hashlib.sha256(text.encode()).hexdigest()}  {path.stem}{suffix}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_bytes(name):
     for filename, produced in render(name).items():
         assert produced == (GOLDEN / filename).read_bytes(), filename
 
 
+def test_shipped_config_sweeps_match_golden_digests(cached_sweeps):
+    assert config_digests(cached_sweeps).splitlines() == CONFIG_DIGESTS.read_text().splitlines()
+
+
 if __name__ == "__main__":
     for case in CASES:
         for filename, produced in render(case).items():
             (GOLDEN / filename).write_bytes(produced)
+    CONFIG_DIGESTS.write_text(config_digests(run_sweep))

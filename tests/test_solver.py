@@ -174,7 +174,6 @@ class TestConvergenceFilter:
         assert spectrum.converged_count == 1
         assert spectrum.converged_pairs == (spectrum.pairs[0],)
         assert spectrum.converged_values.tolist() == [0.0]
-        assert spectrum.cutoff == 10
 
     def test_empty_input(self):
         empty = convergence_filter([])

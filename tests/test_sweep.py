@@ -13,6 +13,7 @@ import pytest
 
 import tprabi.sweep
 from tprabi import (
+    ALL_SUBSPACES,
     FAILURE_COUNT,
     FULL,
     CollapseEstimate,
@@ -43,7 +44,9 @@ SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
 
 def make_row(g2, count, *, omega0=1.0, omega=0.5, subspace=Q14P, error=None):
-    return SweepRow(omega0, omega, g2, subspace, count, (), error)
+    """A row with count converged energies (none for a failed row)."""
+    energies = tuple(0.1 * i for i in range(count))
+    return SweepRow(omega0, omega, g2, subspace, energies, error)
 
 
 def make_result(rows):
@@ -121,6 +124,10 @@ class TestSweepConfig:
             dict(omega_grid=(float("inf"),), coupling_spec=RelativeComb(2, 0.0, 2.0)),
             dict(coupling_spec=(0.1, float("nan"), 0.2)),
             dict(coupling_spec=(float("-inf"),)),
+            # repeated grid values used to solve each of their rows twice
+            dict(omega0_grid=(1.0, 1.0)),
+            dict(subspaces=(Q14P, Q14P)),
+            dict(omega_grid=(0.5, 0.5)),
         ],
     )
     def test_validation(self, kwargs):
@@ -166,7 +173,7 @@ class TestDetectCollapse:
     def test_no_collapse(self):
         result = make_result([make_row(g, 25) for g in (0.1, 0.2, 0.3)])
         estimate = detect_collapse(result, 1.0, 0.5)
-        assert estimate == CollapseEstimate(False)
+        assert estimate == CollapseEstimate()
 
     def test_failed_rows_are_not_evidence(self):
         rows = [
@@ -288,7 +295,6 @@ class TestLocateCollapse:
             ({}, 2.0, Q14P, "got 0"),
             (dict(coupling_spec=(0.1,)), 1.0, Q14P, "got 1"),
             (dict(coupling_spec=(0.2, 0.1)), 1.0, Q14P, "strictly increasing"),
-            (dict(omega_grid=(0.5, 0.5)), 1.0, Q14P, "strictly increasing"),
         ],
     )
     def test_validation_matches_detect_collapse(self, over, omega0, subspace, message):
@@ -589,7 +595,7 @@ class TestSolvePoint:
         assert [p.value for p in got.pairs] == [p.value for p in expected.pairs]
         assert got.tails.tolist() == expected.tails.tolist()
         assert got.converged.tolist() == expected.converged.tolist()
-        assert (got.cutoff, got.tail_fraction, got.tolerance) == (128, tail_fraction, tolerance)
+        assert got.tolerance == tolerance
 
     def test_k_clamped_to_dimension(self):
         params = ModelParams(1.0, 0.5, 0.1)
@@ -625,7 +631,7 @@ class TestFullChainSolve:
         for a, b, alone in zip(got.pairs, ref.pairs, isolated):
             if alone:
                 assert abs(np.vdot(a.vector, b.vector)) > 1 - 1e-10
-        assert (got.cutoff, got.tail_fraction, got.tolerance) == (cutoff, tail_fraction, tolerance)
+        assert got.tolerance == tolerance
 
     def test_degenerate_qubit_levels_keep_parity(self):
         # at omega0 = 0 the chains pair up into equal spectra, so the
@@ -707,13 +713,43 @@ class TestCollapseRule:
     def test_flags_follow_the_count(self, count, error, collapsed, exceptional):
         row = make_row(0.25, count, error=error)
         assert (row.collapsed, row.exceptional) == (collapsed, exceptional)
+        assert row.converged_count == count
 
     def test_flags_are_not_stored(self):
         names = [f.name for f in dataclasses.fields(SweepRow)]
         assert "collapsed" not in names and "exceptional" not in names
+        assert "converged_count" not in names  # len(energies) is the count
         # the solve settings live on the sweep's SweepConfig, never on a row
         for setting in ("cutoff", "eigenpairs", "tail_fraction", "tolerance"):
             assert setting not in names
+
+
+class TestBoundStatesAtCollapse:
+    """At g2 = g_c with the qubit on, discrete levels sit below the
+    continuum threshold E = 0 of every sector. At omega0 / omega = 6 they form
+    a geometric tower: each 4x in cutoff uncovers one more level, and the
+    deeper levels stay put. A collapse rule that counts every converged level
+    must survive these; this pins the levels, not any verdict."""
+
+    PARAMS = ModelParams(3.0, 0.5, 0.25)  # omega0 / omega = 6 at g_c = omega / 2
+
+    @pytest.fixture(scope="class")
+    def levels(self):
+        return {
+            (label, cutoff): solve_point(self.PARAMS, label, cutoff, 25).converged_values
+            for label in ALL_SUBSPACES
+            for cutoff in (4096, 16384)
+        }
+
+    def test_every_converged_level_is_bound(self, levels):
+        for values in levels.values():
+            assert len(values) > 0 and np.all(values < 0)
+
+    def test_tower_grows_one_level_per_fourfold_cutoff(self, levels):
+        coarse, fine = levels[Q14P, 4096], levels[Q14P, 16384]
+        assert (len(coarse), len(fine)) == (2, 3)
+        assert np.max(np.abs(fine[:2] - coarse)) < 1e-10
+        assert fine[2] / fine[1] == pytest.approx(0.120, abs=0.002)
 
 
 class TestExceptionalState:
