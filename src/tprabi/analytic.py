@@ -227,7 +227,7 @@ def fock_to_position(
         raise ValueError(f"coefficient norm {norm} is not 1 within 1e-8")
     if label is not None:
         spread = np.zeros(2 * coeffs.size, dtype=coeffs.dtype)
-        spread[(0 if label.bargmann_q == 0.25 else 1) :: 2] = coeffs
+        spread[label.fock_parity :: 2] = coeffs
         coeffs = spread
     out = np.zeros(grid.shape, dtype=np.result_type(coeffs.dtype, float))
     for c, phi in zip(coeffs, _hermite_ladder(grid, coeffs.size)):

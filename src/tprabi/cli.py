@@ -12,7 +12,7 @@ import re
 import stat
 import sys
 import tempfile
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .model import (
     build_full_fock,
     build_phase_space,
     build_rotated_fock,
-    build_subspace_tridiagonal,
     subspace_from_name,
 )
 from .solver import (
@@ -44,7 +43,6 @@ from .solver import (
     align_spectra,
     convergence_filter,
     solve_hermitian,
-    solve_tridiagonal,
 )
 from .sweep import (
     RelativeComb,
@@ -66,11 +64,12 @@ def _fmt(value: float) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write through a temp file so failures never leave partial output. The
-    file gets the mode open(path, "w") would leave, not mkstemp's 0600: an
-    existing file's own mode, else the umask's mode for a new file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tprabi-", suffix=".tmp")
+    """Write through a temp file so failures never leave partial output. As
+    open(path, "w") would, a symlink's target is written (the link stays),
+    and the file keeps an existing file's own mode, else gets the umask's
+    mode for a new file, not mkstemp's 0600."""
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tprabi-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
@@ -93,6 +92,11 @@ def _emit(out: Optional[str], text: str) -> None:
         sys.stdout.write(text)
     else:
         _write_atomic(out, text)
+
+
+def _table(header: str, rows: Iterable[Sequence[str]]) -> str:
+    """CSV text: the header line, then each row's fields joined by commas."""
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +247,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    lines = ["index,energy,tail_norm,converged"]
-    for index, (pair, tail, ok) in enumerate(
-        zip(filtered.pairs, filtered.tails, filtered.converged)
-    ):
-        lines.append(f"{index},{_fmt(pair.value)},{_fmt(tail)},{int(ok)}")
-    _emit(args.out, "\n".join(lines) + "\n")
+    rows = (
+        [str(index), _fmt(pair.value), _fmt(tail), str(int(ok))]
+        for index, (pair, tail, ok) in enumerate(
+            zip(filtered.pairs, filtered.tails, filtered.converged)
+        )
+    )
+    _emit(args.out, _table("index,energy,tail_norm,converged", rows))
     return 0
 
 
@@ -261,24 +266,14 @@ def sweep_csv(result) -> str:
     header = "omega0,omega,g2,cutoff,subspace,converged_count,collapsed," + ",".join(
         f"e{i}" for i in range(k)
     )
-    lines = [header]
-    for row in result.rows:
-        energies = [_fmt(e) for e in row.energies] + [""] * (k - len(row.energies))
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.omega0),
-                    _fmt(row.omega),
-                    _fmt(row.g2),
-                    str(result.config.cutoff),
-                    row.subspace.name,
-                    str(row.converged_count),
-                    str(int(row.collapsed)),
-                ]
-                + energies
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        [_fmt(row.omega0), _fmt(row.omega), _fmt(row.g2), str(result.config.cutoff)]
+        + [row.subspace.name, str(row.converged_count), str(int(row.collapsed))]
+        + [_fmt(e) for e in row.energies]
+        + [""] * (k - len(row.energies))
+        for row in result.rows
+    )
+    return _table(header, rows)
 
 
 def _sweep_summary(result) -> str:
@@ -310,14 +305,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise UsageError(f"cannot read config {args.config!r}: {exc}") from None
     result = run_sweep(parse_sweep_config(text))
-    csv_text = sweep_csv(result)
-    summary = _sweep_summary(result)
-    if args.out is None:
-        sys.stdout.write(csv_text)
-        sys.stderr.write(summary)
-    else:
-        _write_atomic(args.out, csv_text)
-        sys.stdout.write(summary)
+    _emit(args.out, sweep_csv(result))
+    (sys.stderr if args.out is None else sys.stdout).write(_sweep_summary(result))
     return 0
 
 
@@ -365,15 +354,11 @@ def _oracle_degenerate(cutoff: int) -> float:
 
 
 def _oracle_hermite_gauss(cutoff: int) -> float:
-    params = ModelParams(0.0, 0.5, 0.1)
-    label = SubspaceLabel(0.25, 1)
-    ground = solve_point(params, label, 8 * cutoff, 1).pairs[0]
     x = np.linspace(-10.0, 10.0, 1001)
-    numeric = fock_to_position(ground.vector, x, label)
-    exact = hermite_gauss(0, classify_regime(params), x)
-    err = np.sqrt(np.trapezoid((numeric - exact) ** 2, x))
-    err_flipped = np.sqrt(np.trapezoid((numeric + exact) ** 2, x))
-    return float(min(err, err_flipped))
+    exact, numeric = _closed_form_and_numeric(
+        ModelParams(0.0, 0.5, 0.1), SubspaceLabel(0.25, 1), 8 * cutoff, 0, x
+    )
+    return float(np.sqrt(np.trapezoid((numeric - exact) ** 2, x)))
 
 
 def _oracle_chain(cutoff: int, rng: np.random.Generator) -> float:
@@ -422,11 +407,30 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # modes
 
 
+def _closed_form_and_numeric(
+    params: ModelParams, label: SubspaceLabel, cutoff: int, level: int, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form mode of a sector's ladder level on the grid x (Hermite-Gauss
+    of Fock level 2*level + fock_parity below g_c, the plane wave at g_c) and
+    the numeric eigenvector mapped there, its unphysical global sign set by a
+    non-negative overlap with a real closed form. SpectralCollapseError past g_c."""
+    pair = solve_point(params, label, cutoff, level + 1).pairs[level]
+    data = classify_regime(params)
+    if data.regime is Regime.INVERTED:
+        raise SpectralCollapseError("regime III closed forms out of scope")
+    numeric = fock_to_position(pair.vector, x, label)
+    if data.regime is Regime.HARMONIC:
+        exact = hermite_gauss(2 * level + label.fock_parity, data, x)
+    else:
+        exact = plane_wave(max(pair.value, 0.0), 1, x)
+    if np.isrealobj(exact) and float(np.trapezoid(exact * numeric, x)) < 0:
+        numeric = -numeric
+    return exact, numeric
+
+
 def cmd_modes(args: argparse.Namespace) -> int:
     try:
-        if args.omega0 != 0:
-            raise ValueError("analytic modes require omega0 = 0")
-        params = ModelParams(args.omega0, args.omega, args.g2)
+        params = ModelParams(0.0, args.omega, args.g2)
         label = subspace_from_name(args.subspace)
         if args.level < 0:
             raise ValueError(f"level must be >= 0, got {args.level}")
@@ -434,44 +438,17 @@ def cmd_modes(args: argparse.Namespace) -> int:
             raise ValueError("need points >= 2 and xmax > xmin")
         if args.level + 1 > args.cutoff:
             raise ValueError(f"level {args.level} needs cutoff > {args.level}")
-        tridiag = build_subspace_tridiagonal(label, params, args.cutoff)
-        data = classify_regime(params)
+        x = np.linspace(args.xmin, args.xmax, args.points)
+        exact, numeric = _closed_form_and_numeric(params, label, args.cutoff, args.level, x)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    if data.regime is Regime.INVERTED:
-        raise SpectralCollapseError("regime III closed forms out of scope")
-
-    x = np.linspace(args.xmin, args.xmax, args.points)
-    pair = solve_tridiagonal(tridiag, args.level + 1)[args.level]
-    numeric = fock_to_position(pair.vector, x, label)
-
-    fock_level = 2 * args.level + (0 if label.bargmann_q == 0.25 else 1)
-    if data.regime is Regime.HARMONIC:
-        analytic_wave = hermite_gauss(fock_level, data, x)
-    else:
-        analytic_wave = plane_wave(max(pair.value, 0.0), 1, x)
-    # global sign is not physical; match the numeric state to the analytic one
-    if np.isrealobj(analytic_wave) and float(np.trapezoid(analytic_wave * numeric, x)) < 0:
-        numeric = -numeric
-
-    analytic_wave = analytic_wave.astype(complex)
-    numeric_c = numeric.astype(complex)
-    lines = ["x,analytic_re,analytic_im,numeric_re,numeric_im,absdiff"]
-    for i in range(len(x)):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(x[i]),
-                    _fmt(analytic_wave[i].real),
-                    _fmt(analytic_wave[i].imag),
-                    _fmt(numeric_c[i].real),
-                    _fmt(numeric_c[i].imag),
-                    _fmt(abs(analytic_wave[i] - numeric_c[i])),
-                ]
-            )
-        )
-    _emit(args.out, "\n".join(lines) + "\n")
+    exact, numeric = exact.astype(complex), numeric.astype(complex)
+    rows = (
+        [_fmt(xi), _fmt(e.real), _fmt(e.imag), _fmt(n.real), _fmt(n.imag), _fmt(abs(e - n))]
+        for xi, e, n in zip(x, exact, numeric)
+    )
+    _emit(args.out, _table("x,analytic_re,analytic_im,numeric_re,numeric_im,absdiff", rows))
     return 0
 
 
@@ -515,9 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.set_defaults(func=cmd_oracle)
 
     modes = commands.add_parser(
-        "modes", help="analytic vs numeric eigenfunction table on a grid"
+        "modes", help="closed-form vs numeric eigenfunction table, qubit off (omega0 = 0)"
     )
-    modes.add_argument("--omega0", type=float, default=0.0)
     modes.add_argument("--omega", type=float, required=True)
     modes.add_argument("--g2", type=float, required=True)
     modes.add_argument("--cutoff", type=int, default=2048)

@@ -52,8 +52,13 @@ class SubspaceLabel:
             raise ValueError(f"branch must be +1 or -1, got {self.branch}")
 
     @property
+    def fock_parity(self) -> int:
+        """Parity of the Fock levels the ladder spans: 0 for |2m>, 1 for |2m+1>."""
+        return 0 if self.bargmann_q == 0.25 else 1
+
+    @property
     def name(self) -> str:
-        sector = "q14" if self.bargmann_q == 0.25 else "q34"
+        sector = ("q14", "q34")[self.fock_parity]
         return sector + ("+" if self.branch == 1 else "-")
 
     @classmethod

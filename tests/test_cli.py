@@ -294,7 +294,19 @@ class TestSweepCommand:
 class TestOutFileMode:
     """--out files get the mode open(path, "w") would leave: a new file's
     mode follows the umask, and a rewritten file keeps its own (it used to
-    be reset to the umask's, 0640 to 0644 under 022)."""
+    be reset to the umask's, 0640 to 0644 under 022). Like open, --out
+    through a symlink writes the link's target and keeps the link (the link
+    used to be replaced by a regular file, its target left unchanged)."""
+
+    @staticmethod
+    def argv(tmp_path, command, out):
+        config = tmp_path / "survey.cfg"
+        config.write_text(GOOD_CONFIG.replace("1024", "256"))
+        return {
+            "spectrum": "spectrum --omega0 0 --omega 1 --g2 0 --cutoff 64"
+            " --subspace q14+ --count 2".split(),
+            "sweep": ["sweep", str(config)],
+        }[command] + ["--out", str(out)]
 
     @pytest.mark.parametrize(
         "umask,existing,mode",
@@ -303,24 +315,32 @@ class TestOutFileMode:
     )
     @pytest.mark.parametrize("command", ["spectrum", "sweep"])
     def test_mode_follows_umask(self, tmp_path, capsys, command, umask, existing, mode):
-        config = tmp_path / "survey.cfg"
-        config.write_text(GOOD_CONFIG.replace("1024", "256"))
         out = tmp_path / "out.csv"
         if existing is not None:
             out.write_text("old\n")
             os.chmod(out, existing)
-        argv = {
-            "spectrum": "spectrum --omega0 0 --omega 1 --g2 0 --cutoff 64"
-            " --subspace q14+ --count 2".split(),
-            "sweep": ["sweep", str(config)],
-        }[command] + ["--out", str(out)]
         previous = os.umask(umask)
         try:
-            code, _, _ = run_cli(argv, capsys)
+            code, _, _ = run_cli(self.argv(tmp_path, command, out), capsys)
         finally:
             os.umask(previous)
         assert code == 0 and out.read_text() != "old\n"
         assert os.stat(out).st_mode & 0o777 == mode
+
+    @pytest.mark.parametrize("dangling", [False, True], ids=["existing", "dangling"])
+    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
+    def test_symlink_writes_its_target(self, tmp_path, capsys, command, dangling):
+        target = tmp_path / "target.csv"
+        if not dangling:
+            target.write_text("old\n")
+            os.chmod(target, 0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        code, _, _ = run_cli(self.argv(tmp_path, command, link), capsys)
+        assert code == 0 and link.is_symlink()
+        assert target.read_text().startswith(("index,", "omega0,"))
+        if not dangling:
+            assert os.stat(target).st_mode & 0o777 == 0o640
 
 
 class TestOracleCommand:
@@ -369,9 +389,14 @@ class TestModesCommand:
         ]
         assert max(float(r[5]) for r in rows) < 1e-8
 
-    def test_harmonic_regime_mode(self, capsys):
+    # q = 3/4 ladders hold the odd Hermite-Gauss levels 2 * level + 1
+    @pytest.mark.parametrize("level", [0, 3])
+    @pytest.mark.parametrize("subspace", ["q14+", "q14-", "q34+", "q34-"])
+    def test_harmonic_regime_mode(self, capsys, subspace, level):
         code, out, _ = run_cli(
-            "modes --omega 0.5 --g2 0.1 --subspace q14+".split(), capsys
+            f"modes --omega 0.5 --g2 0.1 --subspace {subspace} --level {level}"
+            " --cutoff 512".split(),
+            capsys,
         )
         assert code == 0
         _, rows = csv_rows(out)
@@ -398,11 +423,11 @@ class TestModesCommand:
         assert code == 1
         assert "regime III closed forms out of scope" in err
 
-    def test_qubit_must_be_degenerate(self, capsys):
-        code, _, err = run_cli(
-            "modes --omega0 0.5 --omega 0.5 --g2 0.1 --subspace q14+".split(), capsys
-        )
-        assert code == 2 and "omega0 = 0" in err
+    def test_omega0_is_not_a_modes_flag(self):
+        # the closed forms hold for a degenerate qubit only, so modes has no --omega0
+        with pytest.raises(SystemExit) as excinfo:
+            main("modes --omega0 0 --omega 0.5 --g2 0.1 --subspace q14+".split())
+        assert excinfo.value.code == 2
 
     def test_cutoff_below_minimum_is_usage_error(self, capsys):
         code, _, err = run_cli(
