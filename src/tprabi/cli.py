@@ -7,11 +7,13 @@ Exit codes: 0 success, 1 computational failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import operator
 import os
 import re
 import stat
 import sys
 import tempfile
+from functools import partial
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -48,6 +50,7 @@ from .sweep import (
     RelativeComb,
     SweepConfig,
     detect_collapse,
+    map_forked,
     run_sweep,
     solve_point,
 )
@@ -67,23 +70,25 @@ def _write_atomic(path: str, text: str) -> None:
     """Write through a temp file so failures never leave partial output. As
     open(path, "w") would, a symlink's target is written (the link stays),
     and the file keeps an existing file's own mode, else gets the umask's
-    mode for a new file, not mkstemp's 0600."""
-    path = os.path.realpath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tprabi-", suffix=".tmp")
+    mode for a new file, not mkstemp's 0600. An OSError names path as given."""
+    target, tmp = os.path.realpath(path), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tprabi-", suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         try:
-            mode = stat.S_IMODE(os.stat(path).st_mode)
+            mode = stat.S_IMODE(os.stat(target).st_mode)
         except FileNotFoundError:
             umask = os.umask(0)  # reading the umask means setting it
             os.umask(umask)
             mode = 0o666 & ~umask
         os.chmod(tmp, mode)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        os.replace(tmp, target)
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # not the temp file's name
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -322,22 +327,18 @@ def _oracle_point(rng: np.random.Generator) -> tuple[float, float, float]:
     return omega0, omega, float(rng.uniform(0.1, 0.7)) * critical_coupling(omega)
 
 
-def _oracle_alignment(cutoff: int, rng: np.random.Generator) -> float:
-    points = [(1.0, 0.5, 0.0), (1.0, 0.5, 0.1), (1.0, 0.5, 0.2), _oracle_point(rng)]
-    worst = 0.0
-    for omega0, omega, g2 in points:
-        params = ModelParams(omega0, omega, g2)
-        # every eigenpair of the unsplit matrix: solve_point's chains are the sectors
-        full = convergence_filter(
-            solve_hermitian(build_full_fock(params, 2 * cutoff), 4 * cutoff), qubit_dim=2
-        )
-        subs = [solve_point(params, lbl, cutoff, cutoff) for lbl in ALL_SUBSPACES]
-        try:
-            alignments = align_spectra(full, subs)
-        except ValueError:
-            return float("inf")
-        worst = max(worst, *(a.residual for a in alignments))
-    return worst
+def _oracle_alignment(cutoff: int, point: tuple[float, float, float]) -> float:
+    params = ModelParams(*point)
+    # every eigenpair of the unsplit matrix: solve_point's chains are the sectors
+    full = convergence_filter(
+        solve_hermitian(build_full_fock(params, 2 * cutoff), 4 * cutoff), qubit_dim=2
+    )
+    subs = [solve_point(params, lbl, cutoff, cutoff) for lbl in ALL_SUBSPACES]
+    try:
+        alignments = align_spectra(full, subs)
+    except ValueError:
+        return float("inf")
+    return max(0.0, *(a.residual for a in alignments))
 
 
 def _oracle_degenerate(cutoff: int) -> float:
@@ -361,22 +362,14 @@ def _oracle_hermite_gauss(cutoff: int) -> float:
     return float(np.sqrt(np.trapezoid((numeric - exact) ** 2, x)))
 
 
-def _oracle_chain(cutoff: int, rng: np.random.Generator) -> float:
-    points = [(1.0, 0.5, 0.2), _oracle_point(rng)]
-    worst = 0.0
-    for omega0, omega, g2 in points:
-        params = ModelParams(omega0, omega, g2)
-        k = 20
-        full = [p.value for p in solve_hermitian(build_full_fock(params, 2 * cutoff), k)]
-        phase = [p.value for p in solve_hermitian(build_phase_space(params, 2 * cutoff), k)]
-        rotated = [p.value for p in solve_hermitian(build_rotated_fock(params, 2 * cutoff), k)]
-        shifted = np.array(full) + omega / 2.0
-        worst = max(
-            worst,
-            float(np.max(np.abs(shifted - phase))),
-            float(np.max(np.abs(shifted - rotated))),
-        )
-    return worst
+def _oracle_chain(cutoff: int, point: tuple[float, float, float]) -> float:
+    params = ModelParams(*point)
+    k = 20
+    full = [p.value for p in solve_hermitian(build_full_fock(params, 2 * cutoff), k)]
+    phase = [p.value for p in solve_hermitian(build_phase_space(params, 2 * cutoff), k)]
+    rotated = [p.value for p in solve_hermitian(build_rotated_fock(params, 2 * cutoff), k)]
+    shifted = np.array(full) + params.omega / 2.0
+    return max(0.0, *(float(np.max(np.abs(shifted - o))) for o in (phase, rotated)))
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -386,16 +379,23 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise UsageError(f"cutoff must be >= 32, got {args.cutoff}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    tolerance = 1e-8 if args.cutoff >= 128 else 1e-6
+    tol = 1e-8 if args.cutoff >= 128 else 1e-6
     rng = np.random.default_rng(args.seed)
-    checks = (
-        ("alignment", _oracle_alignment(args.cutoff, rng), tolerance),
-        ("degenerate-spectrum", _oracle_degenerate(args.cutoff), tolerance),
-        ("hermite-gauss", _oracle_hermite_gauss(args.cutoff), tolerance),
-        ("rotation-chain", _oracle_chain(args.cutoff, rng), tolerance),
-    )
+    aligned = [(1.0, 0.5, 0.0), (1.0, 0.5, 0.1), (1.0, 0.5, 0.2), _oracle_point(rng)]
+    chained = [(1.0, 0.5, 0.2), _oracle_point(rng)]
+    # eight independent tasks through the sweep's fork path; a check reads its tasks' max
+    tasks = [
+        *(("alignment", partial(_oracle_alignment, args.cutoff, p)) for p in aligned),
+        ("degenerate-spectrum", partial(_oracle_degenerate, args.cutoff)),
+        ("hermite-gauss", partial(_oracle_hermite_gauss, args.cutoff)),
+        *(("rotation-chain", partial(_oracle_chain, args.cutoff, p)) for p in chained),
+    ]
+    worst = dict.fromkeys((name for name, _ in tasks), 0.0)
+    deviations = map_forked(operator.call, [task for _, task in tasks], per_worker=1)
+    for (name, _), deviation in zip(tasks, deviations):
+        worst[name] = max(worst[name], deviation)
     all_pass = True
-    for name, deviation, tol in checks:
+    for name, deviation in worst.items():
         passed = deviation < tol
         all_pass = all_pass and passed
         verdict = "PASS" if passed else "FAIL"
@@ -434,6 +434,8 @@ def cmd_modes(args: argparse.Namespace) -> int:
         label = subspace_from_name(args.subspace)
         if args.level < 0:
             raise ValueError(f"level must be >= 0, got {args.level}")
+        if not np.all(np.isfinite([args.xmin, args.xmax])):
+            raise ValueError(f"xmin and xmax must be finite, got {args.xmin}, {args.xmax}")
         if args.points < 2 or args.xmax <= args.xmin:
             raise ValueError("need points >= 2 and xmax > xmin")
         if args.level + 1 > args.cutoff:

@@ -4,8 +4,9 @@ exceptional state at the critical point.
 A sweep solves and filters every grid point; collapse is operationalized as
 the converged-state count dropping to at most one, a truncated-basis proxy
 for the spectrum turning continuous. locate_collapse finds the same point by
-bisecting the comb instead of solving all of it. Large sweeps solve their
-rows in forked processes and return them in grid order.
+bisecting the comb instead of solving all of it. map_forked is the one fork
+path: large sweeps solve their rows through it in forked processes and get
+them back in grid order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pickle
 import threading
 import traceback
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Iterable, NamedTuple, NoReturn, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, NamedTuple, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -287,21 +288,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Solve and filter every grid point of the survey.
 
     Rows are ordered lexicographically by (omega0, omega, g2, subspace). A
-    sweep of at least 2 * ROWS_PER_WORKER rows is cut into contiguous shares,
-    one per worker (min(available CPUs, rows // ROWS_PER_WORKER)), solved in
-    forked processes; the rows and their order are the serial ones. Without
-    os.fork, or while other threads run, every sweep is serial.
+    sweep of at least 2 * ROWS_PER_WORKER rows is solved in forked shares by
+    map_forked; the rows and their order are the serial ones.
     """
     points = _grid_points(config)
-    workers = min(_available_cpus(), len(points) // ROWS_PER_WORKER)
-    # a forked child holds only the calling thread: a lock another thread
-    # held at the fork would stay held there, so threaded callers stay serial
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        rows = [_solve_point(config, *p) for p in points]
-    else:
-        bounds = [len(points) * i // workers for i in range(workers + 1)]
-        shares = [points[a:b] for a, b in zip(bounds, bounds[1:])]
-        rows = _solve_forked(config, shares)
+    rows = map_forked(lambda p: _solve_point(config, *p), points, ROWS_PER_WORKER)
     return SweepResult(config, tuple(rows))
 
 
@@ -316,6 +307,25 @@ def _grid_points(config: SweepConfig) -> list[GridPoint]:
     ]
 
 
+def map_forked(function: Callable, items: Sequence, per_worker: int) -> list:
+    """[function(x) for x in items], computed in forked processes when that pays.
+
+    items are cut into contiguous shares, one per worker (min(available CPUs,
+    len(items) // per_worker)); the first share is mapped here, each of the
+    others in a forked child that pickles its results back through a pipe.
+    With fewer than two workers, without os.fork, or while other threads run,
+    the map is serial. function is inherited by the children, so it need not
+    pickle; its results must.
+    """
+    workers = min(_available_cpus(), len(items) // per_worker)
+    # a forked child holds only the calling thread: a lock another thread
+    # held at the fork would stay held there, so threaded callers stay serial
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [function(x) for x in items]
+    bounds = [len(items) * i // workers for i in range(workers + 1)]
+    return _map_shares(function, [items[a:b] for a, b in zip(bounds, bounds[1:])])
+
+
 def _available_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -323,9 +333,9 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _solve_forked(config: SweepConfig, shares: list[list[GridPoint]]) -> list[SweepRow]:
-    """Rows of every share, in share order: the first solved here, each of the
-    others in a forked child that pickles its rows back through a pipe.
+def _map_shares(function: Callable, shares: list[Sequence]) -> list:
+    """Results of every share, in share order: the first mapped here, each of
+    the others in a forked child.
 
     A child's exception is raised here with the child's traceback as a note.
     Every child is reaped before this returns or raises.
@@ -344,13 +354,13 @@ def _solve_forked(config: SweepConfig, shares: list[list[GridPoint]]) -> list[Sw
                 os.close(read_fd)
                 for _, pipe in children:  # earlier children's pipes
                     pipe.close()
-                _serve_share(config, share, write_fd)
+                _serve_share(function, share, write_fd)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        rows = [_solve_point(config, *p) for p in shares[0]]
+        results = [function(x) for x in shares[0]]
         for pid, pipe in children:
-            rows.extend(_receive_share(pid, pipe))
-        return rows
+            results.extend(_receive_share(pid, pipe))
+        return results
     finally:
         for pid, pipe in children:
             pipe.close()  # a child still writing gets EPIPE and exits
@@ -358,8 +368,8 @@ def _solve_forked(config: SweepConfig, shares: list[list[GridPoint]]) -> list[Sw
                 os.waitpid(pid, 0)
 
 
-def _serve_share(config: SweepConfig, share: list[GridPoint], write_fd: int) -> NoReturn:
-    """Child side: send (rows, None) or (None, (exception, traceback text)).
+def _serve_share(function: Callable, share: Sequence, write_fd: int) -> NoReturn:
+    """Child side: send (results, None) or (None, (exception, traceback text)).
 
     Leaves through os._exit whatever happens, so the child never returns into
     the caller's code and never flushes the stdio buffers it inherited.
@@ -367,7 +377,7 @@ def _serve_share(config: SweepConfig, share: list[GridPoint], write_fd: int) -> 
     status = 1
     try:
         try:
-            outcome = ([_solve_point(config, *p) for p in share], None)
+            outcome = ([function(x) for x in share], None)
         except Exception as exc:
             outcome = (None, (_picklable(exc), traceback.format_exc()))
         with open(write_fd, "wb") as pipe:
@@ -386,16 +396,16 @@ def _picklable(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _receive_share(pid: int, pipe: BinaryIO) -> list[SweepRow]:
+def _receive_share(pid: int, pipe: BinaryIO) -> list:
     try:
-        rows, failure = pickle.load(pipe)
+        results, failure = pickle.load(pipe)
     except EOFError:
         raise RuntimeError(f"sweep worker {pid} exited without sending its rows") from None
     if failure is not None:
         exc, child_traceback = failure
         exc.add_note(f"raised in sweep worker {pid}:\n{child_traceback.rstrip()}")
         raise exc
-    return rows
+    return results
 
 
 def _estimate_at(couplings: Sequence[float], i: int) -> CollapseEstimate:

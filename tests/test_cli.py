@@ -343,6 +343,15 @@ class TestOutFileMode:
             assert os.stat(target).st_mode & 0o777 == 0o640
 
 
+    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
+    def test_missing_directory_names_the_given_path(self, tmp_path, capsys, command):
+        # the error used to name the temp file, nodir/.tprabi-XXXXXXXX.tmp
+        out = os.path.join(os.path.relpath(tmp_path), "nodir", "x.csv")
+        code, stdout, err = run_cli(self.argv(tmp_path, command, out), capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+
+
 class TestOracleCommand:
     def test_default_cutoff_passes(self, capsys):
         code, out, _ = run_cli(["oracle"], capsys)
@@ -373,6 +382,54 @@ class TestOracleCommand:
     def test_negative_seed_is_usage_error(self, capsys):
         code, out, err = run_cli(["oracle", "--cutoff", "32", "--seed", "-1"], capsys)
         assert code == 2 and out == "" and "--seed" in err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedOracle:
+    """The oracle's eight tasks run through the sweep's fork path: serial on
+    one CPU, in forked shares on three, with the same bytes either way."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        pids = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+
+    @staticmethod
+    def run_on(cpus, monkeypatch, capsys):
+        monkeypatch.setattr(tprabi.sweep, "_available_cpus", lambda: cpus)
+        return run_cli(["oracle", "--cutoff", "32", "--seed", "7"], capsys)
+
+    @staticmethod
+    def assert_no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_forked_run_prints_the_serial_bytes(self, monkeypatch, capsys, forks):
+        serial = self.run_on(1, monkeypatch, capsys)
+        assert forks == [] and serial[0] == 0 and serial[1].count("PASS") == 4
+        assert self.run_on(3, monkeypatch, capsys) == serial
+        assert len(forks) == 2
+        self.assert_no_children()
+
+    def test_child_error_maps_as_in_a_serial_run(self, monkeypatch, capsys, forks):
+        # the rotation-chain tasks are the last two, solved in the last child
+        def broken(params, dim):
+            raise ValueError("no rotated basis")
+
+        monkeypatch.setattr(tprabi.cli, "build_rotated_fock", broken)
+        serial = self.run_on(1, monkeypatch, capsys)
+        assert serial == (1, "", "error: no rotated basis\n")
+        assert self.run_on(3, monkeypatch, capsys) == serial
+        assert len(forks) == 2
+        self.assert_no_children()
 
 
 class TestModesCommand:
@@ -434,6 +491,16 @@ class TestModesCommand:
             "modes --omega 0.5 --g2 0.1 --subspace q14+ --cutoff 1".split(), capsys
         )
         assert code == 2 and "cutoff 1 too small" in err
+
+    @pytest.mark.parametrize("bound", ["--xmin=nan", "--xmax=nan", "--xmin=-inf", "--xmax=inf"])
+    def test_non_finite_grid_bound_is_usage_error(self, capsys, bound):
+        # nan passed the xmax > xmin check and printed nan rows with exit 0
+        code, out, err = run_cli(
+            "modes --omega 0.5 --g2 0.1 --subspace q14+ --cutoff 64 --points 3".split()
+            + [bound],
+            capsys,
+        )
+        assert code == 2 and out == "" and "xmin and xmax must be finite" in err
 
     def test_full_subspace_not_allowed(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
