@@ -8,9 +8,13 @@ ground state.
 import argparse
 import sys
 
-import numpy as np
-
-from tprabi import ModelParams, critical_coupling, solve_point, subspace_from_name
+from tprabi import (
+    ModelParams,
+    critical_coupling,
+    exceptional_state,
+    solve_point,
+    subspace_from_name,
+)
 
 
 def parse_args(argv=None):
@@ -29,22 +33,18 @@ def main(argv=None):
     label = subspace_from_name(args.subspace)
     gc = critical_coupling(args.omega)
     at_gc = ModelParams(args.omega0, args.omega, gc)
-    near_gc = ModelParams(args.omega0, args.omega, 0.98 * gc)
 
     print(f"g_c = {gc:g}; filter: tail fraction 0.2, tolerance 1e-6")
     print("cutoff  count  energy          tail_norm   overlap(0.98 g_c ground)")
     for cutoff in args.cutoffs:
         filtered = solve_point(at_gc, label, cutoff, 25)
-        if filtered.converged_count != 1:
+        state = exceptional_state(filtered, at_gc, label, cutoff)
+        if state is None:
             print(f"{cutoff:6d}  {filtered.converged_count:5d}  (no lone survivor)")
             continue
-        survivor = int(np.flatnonzero(filtered.converged)[0])
-        lone = filtered.pairs[survivor]
-        ground = solve_point(near_gc, label, cutoff, 1).pairs[0]
-        overlap = float(abs(np.vdot(lone.vector, ground.vector)))
         print(
-            f"{cutoff:6d}  {filtered.converged_count:5d}  {lone.value:+.8e}"
-            f"  {filtered.tails[survivor]:.2e}  {overlap:.6f}"
+            f"{cutoff:6d}  {filtered.converged_count:5d}  {state.pair.value:+.8e}"
+            f"  {filtered.tails[filtered.converged][0]:.2e}  {state.overlap:.6f}"
         )
     return 0
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 computational failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import errno
 import operator
 import os
 import re
@@ -72,6 +73,8 @@ def _write_atomic(path: str, text: str) -> None:
     and the file keeps an existing file's own mode, else gets the umask's
     mode for a new file, not mkstemp's 0600. An OSError names path as given."""
     target, tmp = os.path.realpath(path), None
+    if os.path.isdir(target):  # refused before a temp file lands in its parent
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tprabi-", suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as handle:

@@ -174,11 +174,6 @@ class SweepRow:
         """
         return self.error is None and len(self.energies) <= 1
 
-    @property
-    def exceptional(self) -> bool:
-        """A solved row with exactly one converged pair."""
-        return self.error is None and len(self.energies) == 1
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -258,25 +253,18 @@ def solve_point(
     return convergence_filter(pairs, tail_fraction, tolerance, qubit_dim)
 
 
-def _solve_with(
-    config: SweepConfig, params: ModelParams, subspace: Subspace
-) -> FilteredSpectrum:
-    """solve_point with the config's cutoff, eigenpair count and filter."""
-    return solve_point(
-        params,
-        subspace,
-        config.cutoff,
-        config.requested_eigenpairs,
-        config.tail_fraction,
-        config.tolerance,
-    )
-
-
 def _solve_point(
     config: SweepConfig, omega0: float, omega: float, g2: float, subspace: Subspace
 ) -> SweepRow:
     try:
-        filtered = _solve_with(config, ModelParams(omega0, omega, g2), subspace)
+        filtered = solve_point(
+            ModelParams(omega0, omega, g2),
+            subspace,
+            config.cutoff,
+            config.requested_eigenpairs,
+            config.tail_fraction,
+            config.tolerance,
+        )
     except (ValueError, np.linalg.LinAlgError) as exc:  # numerical failures become rows
         error = f"{type(exc).__name__}: {exc}"
         return SweepRow(omega0, omega, g2, subspace, (), error)
@@ -400,10 +388,10 @@ def _receive_share(pid: int, pipe: BinaryIO) -> list:
     try:
         results, failure = pickle.load(pipe)
     except EOFError:
-        raise RuntimeError(f"sweep worker {pid} exited without sending its rows") from None
+        raise RuntimeError(f"forked worker {pid} exited without sending its results") from None
     if failure is not None:
         exc, child_traceback = failure
-        exc.add_note(f"raised in sweep worker {pid}:\n{child_traceback.rstrip()}")
+        exc.add_note(f"raised in forked worker {pid}:\n{child_traceback.rstrip()}")
         raise exc
     return results
 
@@ -510,24 +498,20 @@ def refine_comb(config: SweepConfig, center: float) -> SweepConfig:
     return replace(config, coupling_spec=tuple(float(g) for g in points))
 
 
-def exceptional_state(config: SweepConfig, row: SweepRow) -> ExceptionalState:
-    """Re-solve an exceptional row of a sweep of config, with the config's
-    solve settings, and report the lone converged pair.
+def exceptional_state(
+    spectrum: FilteredSpectrum, params: ModelParams, subspace: Subspace, cutoff: int
+) -> Optional[ExceptionalState]:
+    """The lone converged pair of spectrum, solve_point(params, subspace,
+    cutoff, ...)'s result, with its ground-state overlap; None unless exactly
+    one pair converged.
 
     The overlap is the inner-product magnitude against the numeric ground
     state of the same subspace at 0.98 times the critical coupling.
     """
-    if not row.exceptional:
-        raise ValueError("row is not flagged exceptional")
-
-    params = ModelParams(row.omega0, row.omega, row.g2)
-    survivors = _solve_with(config, params, row.subspace).converged_pairs
+    survivors = spectrum.converged_pairs
     if len(survivors) != 1:
-        raise ValueError(
-            f"re-solve found {len(survivors)} converged pairs, expected exactly 1"
-        )
+        return None
     lone = survivors[0]
-    near = ModelParams(row.omega0, row.omega, 0.98 * critical_coupling(row.omega))
-    ground = solve_point(near, row.subspace, config.cutoff, 1).pairs[0]
-    overlap = float(abs(np.vdot(lone.vector, ground.vector)))
-    return ExceptionalState(lone, overlap)
+    near = ModelParams(params.omega0, params.omega, 0.98 * critical_coupling(params.omega))
+    ground = solve_point(near, subspace, cutoff, 1).pairs[0]
+    return ExceptionalState(lone, float(abs(np.vdot(lone.vector, ground.vector))))

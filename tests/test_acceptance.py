@@ -21,8 +21,6 @@ from tprabi import (
     ALL_SUBSPACES,
     ModelParams,
     SubspaceLabel,
-    SweepConfig,
-    SweepRow,
     align_spectra,
     boson_parity,
     build_full_fock,
@@ -39,6 +37,7 @@ from tprabi import (
     hermite_gauss,
     kummer_1f1,
     solve_hermitian,
+    solve_point,
     solve_tridiagonal,
 )
 from tprabi.cli import main
@@ -129,8 +128,7 @@ class TestCriterion4ExceptionalState:
     ):
         cutoff = 2**13
         params = ModelParams(omega0, omega, gc)
-        tridiag = build_subspace_tridiagonal(Q14P, params, cutoff)
-        filtered = convergence_filter(solve_tridiagonal(tridiag, 25), 0.2, 1e-6)
+        filtered = solve_point(params, Q14P, cutoff, 25, 0.2, 1e-6)
         count = filtered.converged_count
         name = f"4: exceptional state at (omega0={omega0}, omega={omega})"
         if omega0 == 0.0:
@@ -150,20 +148,13 @@ class TestCriterion4ExceptionalState:
             assert len(filtered.pairs) == 25
             assert smallest > 1e-2
             return
-        if count != 1:
+        state = exceptional_state(filtered, params, Q14P, cutoff)
+        if state is None:
             criterion_report(
                 name, False, f"{count} eigenpairs pass the filter, need exactly 1"
             )
             assert count == 1
-        config = SweepConfig((omega0,), (omega,), (gc,), (Q14P,), cutoff)
-        row = SweepRow(
-            omega0=omega0,
-            omega=omega,
-            g2=gc,
-            subspace=Q14P,
-            energies=tuple(filtered.converged_values),
-        )
-        overlap = exceptional_state(config, row).overlap
+        overlap = state.overlap
         ok = overlap > 0.9
         criterion_report(
             name, ok, f"single survivor, overlap {overlap:.4f} (need > 0.9)"

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tprabi.cli
-from tprabi import FULL, RelativeComb, SubspaceLabel, SweepConfig
+from tprabi import FULL, FilteredSpectrum, RelativeComb, SubspaceLabel, SweepConfig
 from tprabi.cli import main, parse_sweep_config, serialize_sweep_config
 
 GOOD_CONFIG = """\
@@ -99,6 +100,16 @@ class TestSpectrumCommand:
             capsys,
         )
         assert code == 2 and out == "" and "tolerance" in err
+
+    @pytest.mark.parametrize("fraction", ["1.5", "0"])
+    def test_tail_fraction_out_of_range_exits_two(self, fraction, capsys):
+        code, out, err = run_cli(
+            "spectrum --omega0 1 --omega 0.5 --g2 0.1 --cutoff 64"
+            f" --subspace q14+ --tail-fraction {fraction}".split(),
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: tail_fraction must be in (0, 1), got {float(fraction)}\n"
 
     def test_unwritable_destination_exits_nonzero(self, tmp_path, capsys):
         missing = tmp_path / "no-such-dir" / "out.csv"
@@ -227,6 +238,23 @@ class TestSweepCommand:
         assert "subspace=q14+:" in out
         assert out_csv.read_text().startswith("omega0,omega,g2,")
 
+    @pytest.mark.parametrize(
+        "couplings,summary",
+        [
+            ("g2 = 0.1", "detection unavailable (slice needs >= 2 comb points, got 1)"),
+            ("g2_rel = grid(0, 0.5, 3)", "no collapse in range"),
+        ],
+        ids=["single-coupling", "below-collapse"],
+    )
+    def test_summary_without_an_estimate(self, tmp_path, capsys, couplings, summary):
+        config = tmp_path / "survey.cfg"
+        config.write_text(
+            GOOD_CONFIG.replace("g2_rel = grid(0, 2, 9)", couplings).replace("1024", "256")
+        )
+        code, out, err = run_cli(["sweep", str(config)], capsys)
+        assert code == 0 and out.startswith("omega0,omega,g2,")
+        assert err == f"omega0=1 omega=0.5 subspace=q14+: {summary}\n"
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(["sweep", "/nonexistent/sweep.cfg"], capsys)
         assert code == 2 and "cannot read config" in err
@@ -344,6 +372,27 @@ class TestOutFileMode:
 
 
     @pytest.mark.parametrize("command", ["spectrum", "sweep"])
+    def test_directory_target_is_refused_before_any_temp_file(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # a temp file used to be created and removed in the directory's parent
+        out = tmp_path / "outdir"
+        out.mkdir()
+        argv = self.argv(tmp_path, command, out)
+        before = sorted(os.listdir(tmp_path))
+        made, real_mkstemp = [], tempfile.mkstemp
+
+        def mkstemp(*args, **kwargs):
+            made.append(kwargs.get("dir"))
+            return real_mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1 and stdout == "" and made == []
+        assert err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert sorted(os.listdir(tmp_path)) == before and os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
     def test_missing_directory_names_the_given_path(self, tmp_path, capsys, command):
         # the error used to name the temp file, nodir/.tprabi-XXXXXXXX.tmp
         out = os.path.join(os.path.relpath(tmp_path), "nodir", "x.csv")
@@ -382,6 +431,32 @@ class TestOracleCommand:
     def test_negative_seed_is_usage_error(self, capsys):
         code, out, err = run_cli(["oracle", "--cutoff", "32", "--seed", "-1"], capsys)
         assert code == 2 and out == "" and "--seed" in err
+
+    def test_alignment_error_reads_inf(self, monkeypatch, capsys):
+        def unalignable(reference, others):
+            raise ValueError("nothing to align")
+
+        monkeypatch.setattr(tprabi.cli, "align_spectra", unalignable)
+        code, out, _ = run_cli(["oracle", "--cutoff", "32", "--seed", "7"], capsys)
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 4
+        assert lines[0] == "check alignment: FAIL (max deviation inf, tolerance 1e-06)"
+        assert all("PASS" in line for line in lines[1:])
+
+    def test_too_few_degenerate_levels_read_inf(self, monkeypatch, capsys):
+        real_solve_point = tprabi.cli.solve_point
+
+        def four_pairs(*args):
+            spectrum = real_solve_point(*args)
+            return FilteredSpectrum(spectrum.pairs[:4], spectrum.tails[:4], spectrum.tolerance)
+
+        monkeypatch.setattr(tprabi.cli, "solve_point", four_pairs)
+        code, out, _ = run_cli(["oracle", "--cutoff", "32", "--seed", "7"], capsys)
+        assert code == 1
+        assert (
+            "check degenerate-spectrum: FAIL (max deviation inf, tolerance 1e-06)"
+            in out.splitlines()
+        )
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -153,6 +153,12 @@ class TestTailNorm:
         v[-2:] = 1 / np.sqrt(2)
         assert tail_norm_of(v, 0.2, qubit_dim=2) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5])
+    def test_fraction_outside_open_interval_is_rejected(self, fraction):
+        # convergence_filter checks first, so only direct callers reach this
+        with pytest.raises(ValueError, match=r"tail_fraction must be in \(0, 1\)"):
+            tail_norm_of(np.full(10, 1 / np.sqrt(10)), fraction)
+
     @given(st.integers(5, 200))
     def test_monotone_in_fraction(self, length):
         rng = np.random.default_rng(length)

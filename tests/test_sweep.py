@@ -17,6 +17,8 @@ from tprabi import (
     FAILURE_COUNT,
     FULL,
     CollapseEstimate,
+    EigenPair,
+    FilteredSpectrum,
     ModelParams,
     RelativeComb,
     SubspaceLabel,
@@ -356,7 +358,7 @@ class TestRunSweep:
         bad, good = result.rows
         assert bad.converged_count == FAILURE_COUNT
         assert bad.error is not None and "ValueError" in bad.error
-        assert not bad.collapsed and not bad.exceptional
+        assert not bad.collapsed
         assert good.error is None and good.converged_count >= 0
 
     def test_programming_errors_are_not_failure_rows(self, monkeypatch):
@@ -370,12 +372,12 @@ class TestRunSweep:
 
     def test_degenerate_critical_point_loses_every_state(self):
         # at omega0 = 0 the filter keeps nothing at g_c: the collapse there
-        # leaves no normalizable survivor, so exceptional stays False
+        # leaves no normalizable survivor
         config = SweepConfig((0.0,), (0.45,), (0.2, 0.225), (Q14P,), 8192)
         before, at = run_sweep(config).rows
         assert before.converged_count == 25
         assert at.converged_count == 0
-        assert at.collapsed and not at.exceptional
+        assert at.collapsed
 
 
 # 2 omega0 x 8 couplings x 3 subspaces = 48 rows: three shares of 16 at three
@@ -474,7 +476,7 @@ class TestForkedSweep:
         with pytest.raises(TypeError, match="bug in a builder") as info:
             run_sweep(FORKING_CONFIG)
         note = "\n".join(info.value.__notes__)
-        assert "raised in sweep worker" in note
+        assert "raised in forked worker" in note
         assert "Traceback (most recent call last)" in note and "in builder" in note
         assert_no_children()
 
@@ -496,7 +498,7 @@ class TestForkedSweep:
             return original(config, omega0, omega, g2, subspace)
 
         monkeypatch.setattr(tprabi.sweep, "_solve_point", dying)
-        with pytest.raises(RuntimeError, match="exited without sending its rows"):
+        with pytest.raises(RuntimeError, match="exited without sending its results"):
             run_sweep(FORKING_CONFIG)
         assert_no_children()
 
@@ -698,7 +700,8 @@ class TestRefineIntegration:
 
 
 class TestCollapseRule:
-    """SweepRow.collapsed and .exceptional follow from error and the count."""
+    """SweepRow.collapsed and exceptional_state follow from the count: a
+    row's error and energies, and the verdicts of the spectrum it came from."""
 
     @pytest.mark.parametrize(
         "count,error,collapsed,exceptional",
@@ -712,8 +715,14 @@ class TestCollapseRule:
     )
     def test_flags_follow_the_count(self, count, error, collapsed, exceptional):
         row = make_row(0.25, count, error=error)
-        assert (row.collapsed, row.exceptional) == (collapsed, exceptional)
+        assert row.collapsed == collapsed
         assert row.converged_count == count
+        # 25 pairs of which max(count, 0) converged; a failed solve has none
+        pairs = tuple(EigenPair(0.1 * i, np.eye(64)[i]) for i in range(25))
+        tails = np.where(np.arange(25) < count, 0.0, 1.0)
+        spectrum = FilteredSpectrum(pairs, tails, 1e-6)
+        state = exceptional_state(spectrum, ModelParams(1.0, 0.5, 0.25), Q14P, 64)
+        assert (state is not None) == exceptional
 
     def test_flags_are_not_stored(self):
         names = [f.name for f in dataclasses.fields(SweepRow)]
@@ -753,28 +762,25 @@ class TestBoundStatesAtCollapse:
 
 
 class TestExceptionalState:
-    CONFIG = SweepConfig((1.0,), (0.5,), (0.1, 0.25), (Q14P,), 1024)
+    """exceptional_state judges a spectrum its caller solved: the lone
+    converged pair, or None."""
 
     def test_critical_point_survivor(self):
-        config = dataclasses.replace(self.CONFIG, cutoff=8192)
-        state = exceptional_state(config, make_row(0.25, 1))
+        params = ModelParams(1.0, 0.5, 0.25)
+        spectrum = solve_point(params, Q14P, 8192, 25)
+        state = exceptional_state(spectrum, params, Q14P, 8192)
+        assert state.pair is spectrum.converged_pairs[0]
         assert state.pair.value == pytest.approx(-0.010035201610, abs=1e-9)
         assert state.overlap == pytest.approx(0.7780010930, abs=1e-8)
         assert np.isclose(np.linalg.norm(state.pair.vector), 1.0)
 
-    def test_rejects_non_exceptional_row(self):
-        with pytest.raises(ValueError):
-            exceptional_state(self.CONFIG, make_row(0.25, 0))
-        with pytest.raises(ValueError):
-            exceptional_state(self.CONFIG, make_row(0.25, 25))
-
-    def test_rejects_failed_row(self):
-        row = make_row(0.25, FAILURE_COUNT, error="ValueError: boom")
-        with pytest.raises(ValueError):
-            exceptional_state(self.CONFIG, row)
-
-    def test_rejects_row_whose_resolve_disagrees(self):
-        # claims one survivor but the re-solve finds a full ladder
-        row = make_row(0.1, 1)
-        with pytest.raises(ValueError, match="expected exactly 1"):
-            exceptional_state(self.CONFIG, row)
+    def test_none_unless_exactly_one_pair_converged(self, monkeypatch):
+        # the free-particle point at g_c, and a full ladder below it
+        points = [ModelParams(0.0, 0.5, 0.25), ModelParams(1.0, 0.5, 0.1)]
+        spectra = [solve_point(params, Q14P, 1024, 25) for params in points]
+        assert [s.converged_count for s in spectra] == [0, 25]
+        solves = []
+        monkeypatch.setattr(tprabi.sweep, "solve_point", lambda *a: solves.append(a))
+        for params, spectrum in zip(points, spectra):
+            assert exceptional_state(spectrum, params, Q14P, 1024) is None
+        assert solves == []  # no ground state is solved for a verdict of None
