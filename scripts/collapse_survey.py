@@ -30,20 +30,24 @@ def parse_args(argv=None):
     parser.add_argument("--steps", type=int, default=200, help="comb intervals over [0, 2] g_c")
     parser.add_argument("--eigenpairs", type=int, default=25)
     parser.add_argument("--out", default=None, help="write the row table as CSV")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    try:  # a value the config rejects is a usage error: exit 2
+        config = SweepConfig(
+            omega0_grid=tuple(args.omega0),
+            omega_grid=tuple(args.omega),
+            coupling_spec=RelativeComb(steps=args.steps, lo=0.0, hi=2.0),
+            subspaces=(subspace_from_name(args.subspace),),
+            cutoff=args.cutoff,
+            requested_eigenpairs=args.eigenpairs,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    return args, config
 
 
 def main(argv=None):
-    args = parse_args(argv)
-    config = SweepConfig(
-        omega0_grid=tuple(args.omega0),
-        omega_grid=tuple(args.omega),
-        coupling_spec=RelativeComb(steps=args.steps, lo=0.0, hi=2.0),
-        subspaces=(subspace_from_name(args.subspace),),
-        cutoff=args.cutoff,
-        requested_eigenpairs=args.eigenpairs,
-    )
-    # without a table to write, each slice's estimate bisects its comb
+    args, config = parse_args(argv)
+    # without a table to write, each slice's estimate searches its comb from g_c
     estimate_for = partial(locate_collapse, config)
     if args.out is not None:
         result = run_sweep(config)

@@ -25,16 +25,19 @@ def parse_args(argv=None):
     parser.add_argument(
         "--cutoffs", type=int, nargs="+", default=[2**11, 2**12, 2**13]
     )
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    try:  # a value the model rejects is a usage error: exit 2
+        label = subspace_from_name(args.subspace)
+        at_gc = ModelParams(args.omega0, args.omega, critical_coupling(args.omega))
+    except ValueError as exc:
+        parser.error(str(exc))
+    return args, label, at_gc
 
 
 def main(argv=None):
-    args = parse_args(argv)
-    label = subspace_from_name(args.subspace)
-    gc = critical_coupling(args.omega)
-    at_gc = ModelParams(args.omega0, args.omega, gc)
+    args, label, at_gc = parse_args(argv)
 
-    print(f"g_c = {gc:g}; filter: tail fraction 0.2, tolerance 1e-6")
+    print(f"g_c = {at_gc.g2:g}; filter: tail fraction 0.2, tolerance 1e-6")
     print("cutoff  count  energy          tail_norm   overlap(0.98 g_c ground)")
     for cutoff in args.cutoffs:
         filtered = solve_point(at_gc, label, cutoff, 25)

@@ -1,7 +1,8 @@
 """Two-stage estimate of the critical coupling: a coarse comb over [0, 2] g_c
 followed by a 200-point comb over a +-2% window around the first hit.
 
-Both stages bisect their comb with locate_collapse (about ten solves each).
+Both stages search their comb with locate_collapse, which starts at the
+analytic edge g_c = omega/2: at cutoff 1024 the defaults take 2 + 4 solves.
 
     python scripts/refine_critical.py --omega0 1 --omega 0.5 --cutoff 1024
 """
@@ -25,18 +26,22 @@ def parse_args(argv=None):
     parser.add_argument("--subspace", default="q14+")
     parser.add_argument("--cutoff", type=int, default=2**10)
     parser.add_argument("--steps", type=int, default=200)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    try:  # a value the config rejects is a usage error: exit 2
+        config = SweepConfig(
+            omega0_grid=(args.omega0,),
+            omega_grid=(args.omega,),
+            coupling_spec=RelativeComb(steps=args.steps, lo=0.0, hi=2.0),
+            subspaces=(subspace_from_name(args.subspace),),
+            cutoff=args.cutoff,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    return args, config
 
 
 def main(argv=None):
-    args = parse_args(argv)
-    config = SweepConfig(
-        omega0_grid=(args.omega0,),
-        omega_grid=(args.omega,),
-        coupling_spec=RelativeComb(steps=args.steps, lo=0.0, hi=2.0),
-        subspaces=(subspace_from_name(args.subspace),),
-        cutoff=args.cutoff,
-    )
+    args, config = parse_args(argv)
     coarse = locate_collapse(config, args.omega0, args.omega)
     if not coarse.found:
         print("no collapse inside the coarse comb; widen it or raise the cutoff")

@@ -4,14 +4,15 @@ exceptional state at the critical point.
 A sweep solves and filters every grid point; collapse is operationalized as
 the converged-state count dropping to at most one, a truncated-basis proxy
 for the spectrum turning continuous. locate_collapse finds the same point by
-bisecting the comb instead of solving all of it. map_forked is the one fork
-path: large sweeps solve their rows through it in forked processes and get
-them back in grid order.
+probing the comb from the analytic edge g_c = omega/2 instead of solving all
+of it. map_forked is the one fork path: large sweeps solve their rows through
+it in forked processes and get them back in grid order.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import pickle
 import threading
@@ -442,11 +443,20 @@ def locate_collapse(
     subspace: Optional[Subspace] = None,
 ) -> CollapseEstimate:
     """detect_collapse(run_sweep(config), omega0, omega, subspace), found by
-    bisecting comb indices instead of solving every point.
+    probing comb indices from the analytic edge instead of solving every point.
 
     Each probe is one _solve_point call, cached for the call's lifetime. The
-    search keeps lo uncollapsed and hi collapsed until they are adjacent, so
-    a 201-point comb costs 2 + ceil(log2(200)) = 10 solves. It falls back to
+    search keeps lo uncollapsed and hi collapsed until they are adjacent,
+    starting from the virtual bracket lo = -1 (before the comb), hi = n (past
+    it). Its first probe is the analytic edge, the first point at or above
+    critical_coupling(omega), when that lies past the first comb point; from
+    there it gallops away from the verdict (1, 3, 7, ... points down from a
+    collapsed probe, up from an uncollapsed one), then bisects what is left.
+    A comb that does not straddle g_c is probed at both ends first, then at
+    midpoints. Every probe is clamped so that the bracket it leaves still
+    closes by bisection within the remaining budget: the search of an n-point
+    comb never takes more than 2 + ceil(log2(n - 1)) solves (10 for 201
+    points), and about two when the comb's edge sits at g_c. It falls back to
     the plain first-hit scan, reusing the probed rows, when a probe fails,
     when the last point has not collapsed, or when the probed counts, read in
     coupling order, ever rise.
@@ -459,6 +469,7 @@ def locate_collapse(
     points = _select(_grid_points(config), omega0, omega, subspace)
     couplings = [p.g2 for p in points]
     _check_comb(couplings)
+    n = len(couplings)
     probed: dict[int, SweepRow] = {}
 
     def row(i: int) -> SweepRow:
@@ -467,22 +478,35 @@ def locate_collapse(
         return probed[i]
 
     def scan() -> CollapseEstimate:
-        return _first_collapse(couplings, (row(i) for i in range(len(couplings))))
+        return _first_collapse(couplings, (row(i) for i in range(n)))
 
-    lo, hi = 0, len(couplings) - 1
-    if row(lo).collapsed:
-        return _estimate_at(couplings, lo)
-    if not row(hi).collapsed:
-        return scan()
+    budget = 2 + math.ceil(math.log2(n - 1))
+    # an absolute comb may come with omega <= 0 (every row fails): no edge
+    edge = int(np.searchsorted(couplings, critical_coupling(omega))) if omega > 0 else 0
+    # the first target and gallop step; a step of n goes from the first point
+    # straight to the last
+    target, step = (edge, 1) if 0 < edge < n else (0, n)
+    lo, hi = -1, n
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if row(mid).collapsed:
-            hi = mid
+        # the widest bracket the solves left after this one can bisect shut
+        reach = 2 ** (budget - len(probed) - 1)
+        target = min(max(target, hi - reach, lo + 1), lo + reach, hi - 1)
+        if row(target).collapsed:
+            hi = target
         else:
-            lo = mid
-    # the bracket only means "first hit" if no probe failed and counts fall
+            lo = target
+        # gallop while every verdict agrees (one bound still virtual), then bisect
+        if lo < 0:
+            target = hi - step
+        elif hi == n:
+            target = lo + step
+        else:
+            target = (lo + hi) // 2
+        step *= 2
+    # the bracket only means "first hit" if the last point collapsed, no probe
+    # failed and counts fall
     seen = [probed[i] for i in sorted(probed)]
-    if any(r.error is not None for r in seen) or any(
+    if hi == n or any(r.error is not None for r in seen) or any(
         len(b.energies) > len(a.energies) for a, b in zip(seen, seen[1:])
     ):
         return scan()

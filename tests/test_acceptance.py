@@ -33,14 +33,12 @@ from tprabi import (
     degenerate_energies,
     detect_collapse,
     exceptional_state,
-    fock_to_position,
-    hermite_gauss,
     kummer_1f1,
     solve_hermitian,
     solve_point,
     solve_tridiagonal,
 )
-from tprabi.cli import main
+from tprabi.cli import _closed_form_and_numeric, main
 
 Q14P = SubspaceLabel(0.25, 1)
 
@@ -221,17 +219,9 @@ class TestCriterion5RepresentationEquivalence:
 
 class TestCriterion6EigenfunctionMatch:
     def test_ground_state_matches_hermite_gauss_mode(self, criterion_report):
-        params = ModelParams(0.0, 0.5, 0.1)
-        ground = solve_tridiagonal(
-            build_subspace_tridiagonal(Q14P, params, 2048), 1
-        )[0]
         x = np.linspace(-10.0, 10.0, 2001)
-        numeric = fock_to_position(ground.vector, x, Q14P)
-        exact = hermite_gauss(0, classify_regime(params), x)
-        err = min(
-            float(np.sqrt(np.trapezoid((numeric - exact) ** 2, x))),
-            float(np.sqrt(np.trapezoid((numeric + exact) ** 2, x))),
-        )
+        exact, numeric = _closed_form_and_numeric(ModelParams(0.0, 0.5, 0.1), Q14P, 2048, 0, x)
+        err = float(np.sqrt(np.trapezoid((numeric - exact) ** 2, x)))
         ok = err < 1e-6
         criterion_report(
             "6: position-space eigenfunction match",

@@ -13,7 +13,6 @@ from tprabi import (
     Regime,
     SpectralCollapseError,
     SubspaceLabel,
-    build_subspace_tridiagonal,
     classify_regime,
     critical_coupling,
     degenerate_energies,
@@ -23,8 +22,8 @@ from tprabi import (
     hermite_gauss,
     kummer_1f1,
     plane_wave,
-    solve_tridiagonal,
 )
+from tprabi.cli import _closed_form_and_numeric
 
 Q14P = SubspaceLabel(0.25, 1)
 Q34P = SubspaceLabel(0.75, 1)
@@ -315,15 +314,7 @@ class TestFockToPosition:
             fock_to_position(np.array([1.0]), [])
 
     def test_numeric_ground_state_matches_analytic_mode(self):
-        params = ModelParams(0.0, 0.5, 0.1)
-        ground = solve_tridiagonal(
-            build_subspace_tridiagonal(Q14P, params, 2048), 1
-        )[0]
         x = np.linspace(-10, 10, 2001)
-        numeric = fock_to_position(ground.vector, x, Q14P)
-        exact = hermite_gauss(0, classify_regime(params), x)
-        err = min(
-            np.sqrt(np.trapezoid((numeric - exact) ** 2, x)),
-            np.sqrt(np.trapezoid((numeric + exact) ** 2, x)),
-        )
+        exact, numeric = _closed_form_and_numeric(ModelParams(0.0, 0.5, 0.1), Q14P, 2048, 0, x)
+        err = np.sqrt(np.trapezoid((numeric - exact) ** 2, x))
         assert err < 1e-6

@@ -1,9 +1,11 @@
 """Command-line interface: CSV output, config files, and exit codes."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import tprabi.cli
 from tprabi import FULL, FilteredSpectrum, RelativeComb, SubspaceLabel, SweepConfig
 from tprabi.cli import main, parse_sweep_config, serialize_sweep_config
 
+SCRIPTS = Path(__file__).parents[1] / "scripts"
 GOOD_CONFIG = """\
 # resonance survey
 omega0 = 1.0
@@ -595,3 +598,55 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("index,energy,tail_norm,converged")
+
+
+SCRIPT_USAGE_ERRORS = [
+    ("refine_critical.py", "--steps 0", "steps must be >= 1, got 0"),
+    ("refine_critical.py", "--cutoff 10", "cutoff must be >= 64, got 10"),
+    ("refine_critical.py", "--subspace bogus", "unknown subspace 'bogus'"),
+    ("refine_critical.py", "--omega 0", "a relative coupling comb needs every omega > 0"),
+    ("collapse_survey.py", "--omega0 1 1", "omega0 values must not repeat"),
+    ("exceptional_overlap.py", "--omega 0", "omega must be > 0, got 0.0"),
+    ("exceptional_overlap.py", "--subspace bogus", "unknown subspace 'bogus'"),
+    ("exceptional_overlap.py", "--omega0 -1", "omega0 must be >= 0, got -1.0"),
+]
+
+
+def script_case_id(case):
+    script, flags, _ = case
+    return f"{script.removesuffix('.py')}{flags.replace(' ', '=', 1).replace(' ', ',')}"
+
+
+@pytest.mark.parametrize(
+    "script,flags,message", SCRIPT_USAGE_ERRORS, ids=map(script_case_id, SCRIPT_USAGE_ERRORS)
+)
+def test_study_script_usage_errors_exit_two(capsys, script, flags, message):
+    # a value the library rejects used to escape as a ValueError traceback, exit 1
+    spec = importlib.util.spec_from_file_location(script.removesuffix(".py"), SCRIPTS / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with pytest.raises(SystemExit) as excinfo:
+        module.main(flags.split())
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert f": error: {message}" in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "script,flags,message",
+    # one case per script, run as a program
+    [SCRIPT_USAGE_ERRORS[i] for i in (0, 4, 5)],
+    ids=[script_case_id(SCRIPT_USAGE_ERRORS[i]) for i in (0, 4, 5)],
+)
+def test_study_script_usage_error_exit_code(script, flags, message):
+    src = str(Path(tprabi.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *flags.split()],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith(f"{script}: error: {message}")

@@ -215,11 +215,14 @@ class TestDetectCollapse:
         assert not estimate.found
 
 
-def crafted_comb(monkeypatch, counts, failed=()):
+def crafted_comb(monkeypatch, counts, failed=(), edge=24):
     """A comb whose _solve_point rows carry the given counts (failed indices
     become failure rows). Returns the config, the scan's estimate over every
-    row, and the list that records each probed index from then on."""
-    couplings = tuple(0.01 * (i + 1) for i in range(len(counts)))
+    row, and the list that records each probed index from then on.
+
+    The couplings are 0.01 apart, the one at index edge being
+    critical_coupling(0.5) = 0.25; an edge off the comb leaves g_c outside."""
+    couplings = tuple(0.25 + 0.01 * (i - edge) for i in range(len(counts)))
     config = SweepConfig((1.0,), (0.5,), couplings, (Q14P,), 1024)
     probes = []
 
@@ -235,6 +238,23 @@ def crafted_comb(monkeypatch, counts, failed=()):
     scan = detect_collapse(make_result(rows), 1.0, 0.5)
     probes.clear()
     return config, scan, probes
+
+
+def bisection_probes(n, hit):
+    """Probe order of a blind bisection over n points whose first collapsed
+    row is hit (n: none): both ends, then midpoints, or the scan of the rest."""
+    probes = [0]
+    if hit == 0:
+        return probes
+    probes.append(n - 1)
+    if hit == n:
+        return probes + list(range(1, n - 1))
+    lo, hi = 0, n - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        probes.append(mid)
+        lo, hi = (lo, mid) if mid >= hit else (mid, hi)
+    return probes
 
 
 class TestLocateCollapse:
@@ -289,6 +309,30 @@ class TestLocateCollapse:
         assert locate_collapse(config, 1.0, 0.5) == scan
         assert scan.coupling == config.coupling_spec[hit]
         assert len(probes) <= 2 + math.ceil(math.log2(200))
+
+    def test_analytic_start_keeps_scan_answer_and_budget(self, monkeypatch):
+        # every comb length, monotone first hit (n: none) and edge position
+        for n in range(2, 41):
+            budget = 2 + math.ceil(math.log2(n - 1))
+            for hit in range(n + 1):
+                counts = ([2] * hit + [1] + [0] * n)[:n]
+                for edge in range(-1, n + 2):
+                    config, scan, probes = crafted_comb(monkeypatch, counts, edge=edge)
+                    assert locate_collapse(config, 1.0, 0.5) == scan, (n, hit, edge)
+                    assert len(probes) == len(set(probes)), (n, hit, edge)
+                    if hit < n:
+                        assert scan.coupling == config.coupling_spec[hit]
+                        assert len(probes) <= budget, (n, hit, edge)
+                    else:  # the last point has not collapsed: the scan solves every row
+                        assert not scan.found and sorted(probes) == list(range(n))
+                    if not 0 < edge < n:  # no edge inside the comb: the blind order
+                        assert probes == bisection_probes(n, hit), (n, hit, edge)
+
+    def test_edge_at_the_analytic_point_costs_two_solves(self, monkeypatch):
+        counts = [25] * 100 + [0] * 101
+        config, scan, probes = crafted_comb(monkeypatch, counts, edge=100)
+        assert locate_collapse(config, 1.0, 0.5) == scan
+        assert probes == [100, 99]
 
     @pytest.mark.parametrize(
         "over,omega0,subspace,message",
@@ -697,6 +741,26 @@ class TestRefineIntegration:
         assert refined.step < coarse.step
         # 9-point then 200-point comb: (2 + 3) + (2 + 8) solves at most
         assert len(probes) <= 15
+
+    def test_refine_defaults_start_at_the_analytic_edge(self, monkeypatch):
+        # scripts/refine_critical.py's defaults: 201 then 200 points, both
+        # straddling g_c; the blind bisection took 10 + 10 solves
+        probes = []
+        solve = tprabi.sweep._solve_point
+
+        def counted(*args):
+            probes.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(tprabi.sweep, "_solve_point", counted)
+        config = SweepConfig(
+            (1.0,), (0.5,), RelativeComb(steps=200, lo=0.0, hi=2.0), (Q14P,), 1024
+        )
+        coarse = locate_collapse(config, 1.0, 0.5)
+        assert coarse.coupling == pytest.approx(0.25)
+        refined = locate_collapse(refine_comb(config, coarse.coupling), 1.0, 0.5)
+        assert abs(refined.coupling - 0.25) < 2e-4
+        assert len(probes) <= 6
 
 
 class TestCollapseRule:
