@@ -3,10 +3,12 @@ exceptional state at the critical point.
 
 A sweep solves and filters every grid point; collapse is operationalized as
 the converged-state count dropping to at most one, a truncated-basis proxy
-for the spectrum turning continuous. locate_collapse finds the same point by
-probing the comb from the analytic edge g_c = omega/2 instead of solving all
-of it. map_forked is the one fork path: large sweeps solve their rows through
-it in forked processes and get them back in grid order.
+for the spectrum turning continuous. At omega0 = 0 both qubit branches of a
+Bargmann sector are the same matrix, so a sweep solves each such pair once.
+locate_collapse finds the same point by probing the comb from the analytic
+edge g_c = omega/2 instead of solving all of it. map_forked is the one fork
+path: large sweeps solve their distinct points through it in forked
+processes and get them back in grid order.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .solver import (
 )
 
 FAILURE_COUNT = -1  # converged_count marker for rows whose solve failed
-ROWS_PER_WORKER = 16  # a sweep forks one worker per this many rows, up to the CPUs
+ROWS_PER_WORKER = 16  # a sweep forks one worker per this many distinct solves, up to the CPUs
 
 
 class GridPoint(NamedTuple):
@@ -118,7 +120,7 @@ class SweepConfig:
         for sub in self.subspaces:
             if not isinstance(sub, (SubspaceLabel, FullModel)):
                 raise ValueError(f"subspace must be a SubspaceLabel or FULL, got {sub!r}")
-        # a repeated value would solve each of its rows twice; absolute g2
+        # a repeated value would list each of its rows twice; absolute g2
         # lists may repeat, the comb checks of collapse detection reject them
         for name, values in (
             ("omega0", self.omega0_grid),
@@ -276,13 +278,34 @@ def _solve_point(
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Solve and filter every grid point of the survey.
 
-    Rows are ordered lexicographically by (omega0, omega, g2, subspace). A
-    sweep of at least 2 * ROWS_PER_WORKER rows is solved in forked shares by
+    Rows are ordered lexicographically by (omega0, omega, g2, subspace).
+    Points with equal _solve_key build the same matrix, so only the first of
+    them is solved and its row is copied to the others. A sweep of at least
+    2 * ROWS_PER_WORKER distinct solves runs them in forked shares by
     map_forked; the rows and their order are the serial ones.
     """
     points = _grid_points(config)
-    rows = map_forked(lambda p: _solve_point(config, *p), points, ROWS_PER_WORKER)
+    keys = [_solve_key(p) for p in points]
+    distinct: dict[tuple, GridPoint] = {}
+    for key, point in zip(keys, points):
+        distinct.setdefault(key, point)
+    solved = map_forked(lambda p: _solve_point(config, *p), [*distinct.values()], ROWS_PER_WORKER)
+    by_key = dict(zip(distinct, solved))
+    rows = (replace(by_key[key], **point._asdict()) for key, point in zip(keys, points))
     return SweepResult(config, tuple(rows))
+
+
+def _solve_key(point: GridPoint) -> tuple:
+    """The solve a grid point needs; points with equal keys share one.
+
+    A sector's branch multiplies only the (omega0/2)(-1)^m diagonal term; at
+    omega0 = 0 that term is +-0.0, and +-0.0 + x == x for every x, so both
+    branches of a Bargmann sector build the same matrix bit for bit and share
+    one key. Every other key is the point itself.
+    """
+    if point.omega0 == 0 and isinstance(point.subspace, SubspaceLabel):
+        return (point.omega0, point.omega, point.g2, point.subspace.bargmann_q)
+    return point
 
 
 def _grid_points(config: SweepConfig) -> list[GridPoint]:

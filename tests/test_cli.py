@@ -609,6 +609,8 @@ SCRIPT_USAGE_ERRORS = [
     ("exceptional_overlap.py", "--omega 0", "omega must be > 0, got 0.0"),
     ("exceptional_overlap.py", "--subspace bogus", "unknown subspace 'bogus'"),
     ("exceptional_overlap.py", "--omega0 -1", "omega0 must be >= 0, got -1.0"),
+    ("exceptional_overlap.py", "--cutoffs 1", "cutoff 1 too small, need at least 2"),
+    ("exceptional_overlap.py", "--cutoffs 64 0", "cutoff 0 too small, need at least 2"),
 ]
 
 

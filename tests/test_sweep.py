@@ -382,6 +382,36 @@ class TestRefineComb:
             refine_comb(config, center)
 
 
+# 2 omega0 x 8 couplings x 3 subspaces = 48 rows: three shares of 16 at three
+# CPUs, rows 0-15 (omega0 = 0) solved by the parent, 16-31 and 32-47 by children
+FORKING_CONFIG = SweepConfig(
+    (0.0, 1.0),
+    (0.5,),
+    tuple(float(g) for g in np.linspace(0.02, 0.2, 8)),
+    (Q14P, FULL, Q34P),
+    64,
+    requested_eigenpairs=4,
+)
+
+# 2 omega0 x 8 couplings x 4 sectors = 64 rows, 48 distinct solves: at
+# omega0 = 0 the two branches of each sector share one
+TWIN_CONFIG = dataclasses.replace(FORKING_CONFIG, subspaces=ALL_SUBSPACES)
+
+
+def grid_points(config):
+    return [
+        (w0, w, float(g), sub)
+        for w0 in config.omega0_grid
+        for w in config.omega_grid
+        for g in config.couplings_for(w)
+        for sub in config.subspaces
+    ]
+
+
+def serial_rows(config):
+    return [tprabi.sweep._solve_point(config, *p) for p in grid_points(config)]
+
+
 class TestRunSweep:
     def test_row_order_and_determinism(self):
         config = SweepConfig(
@@ -423,31 +453,45 @@ class TestRunSweep:
         assert at.converged_count == 0
         assert at.collapsed
 
+    def test_shared_solves_give_the_serial_rows(self):
+        rows = run_sweep(TWIN_CONFIG).rows
+        assert list(rows) == serial_rows(TWIN_CONFIG)
+        assert [(r.omega0, r.omega, r.g2, r.subspace) for r in rows] == grid_points(TWIN_CONFIG)
 
-# 2 omega0 x 8 couplings x 3 subspaces = 48 rows: three shares of 16 at three
-# CPUs, rows 0-15 (omega0 = 0) solved by the parent, 16-31 and 32-47 by children
-FORKING_CONFIG = SweepConfig(
-    (0.0, 1.0),
-    (0.5,),
-    tuple(float(g) for g in np.linspace(0.02, 0.2, 8)),
-    (Q14P, FULL, Q34P),
-    64,
-    requested_eigenpairs=4,
-)
+    @pytest.mark.parametrize(
+        "config,solves",
+        # omega0 = 0: one solve per (g2, q); omega0 = 1 and no twin branches: one per point
+        [(TWIN_CONFIG, 8 * 2 + 8 * 4), (FORKING_CONFIG, 48)],
+        ids=["twin-branches", "forking-config"],
+    )
+    def test_one_solve_per_distinct_matrix(self, monkeypatch, config, solves):
+        monkeypatch.setattr(tprabi.sweep, "_available_cpus", lambda: 1)  # calls seen here
+        original = tprabi.sweep._solve_point
+        calls = []
 
+        def counted(config, omega0, omega, g2, subspace):
+            calls.append((omega0, g2, subspace))
+            return original(config, omega0, omega, g2, subspace)
 
-def grid_points(config):
-    return [
-        (w0, w, float(g), sub)
-        for w0 in config.omega0_grid
-        for w in config.omega_grid
-        for g in config.couplings_for(w)
-        for sub in config.subspaces
-    ]
+        monkeypatch.setattr(tprabi.sweep, "_solve_point", counted)
+        run_sweep(config)
+        assert len(calls) == len(set(calls)) == solves
+        at_zero = [
+            (g2, sub.bargmann_q)
+            for omega0, g2, sub in calls
+            if omega0 == 0.0 and isinstance(sub, SubspaceLabel)
+        ]
+        assert len(at_zero) == len(set(at_zero))
 
-
-def serial_rows(config):
-    return [tprabi.sweep._solve_point(config, *p) for p in grid_points(config)]
+    def test_twin_branches_share_a_failure_row(self):
+        config = SweepConfig((0.0,), (0.5,), (-0.1, 0.1), ALL_SUBSPACES, 64, 4)
+        rows = run_sweep(config).rows
+        assert list(rows) == serial_rows(config)
+        failed = rows[:4]
+        assert [r.subspace for r in failed] == list(ALL_SUBSPACES)
+        assert {r.error for r in failed} == {"ValueError: g2 must be >= 0, got -0.1"}
+        assert failed[0] == dataclasses.replace(failed[1], subspace=failed[0].subspace)
+        assert all(r.error is None for r in rows[4:])
 
 
 def break_builder(monkeypatch, error, omega0=1.0, g2=None):
@@ -493,6 +537,13 @@ class TestForkedSweep:
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", fork)
+
+    def test_shared_solves_in_forked_shares_give_the_serial_rows(self, forks):
+        rows = run_sweep(TWIN_CONFIG).rows
+        assert len(forks) == 2
+        assert list(rows) == serial_rows(TWIN_CONFIG)
+        assert [(r.omega0, r.omega, r.g2, r.subspace) for r in rows] == grid_points(TWIN_CONFIG)
+        assert_no_children()
 
     def test_rows_are_the_serial_rows_in_grid_order(self, forks):
         rows = run_sweep(FORKING_CONFIG).rows
@@ -586,10 +637,12 @@ class TestForkedSweep:
     @pytest.mark.parametrize(
         "config,cpus",
         [
-            (SweepConfig((1.0,), (0.5,), (0.1,) * 31, (Q14P,), 64, 4), 3),  # 31 rows
+            (SweepConfig((1.0,), (0.5,), tuple(np.linspace(0.01, 0.31, 31)), (Q14P,), 64, 4), 3),
+            # 32 rows but 16 distinct solves: the twin branches at omega0 = 0 share one
+            (SweepConfig((0.0,), (0.5,), FORKING_CONFIG.coupling_spec, ALL_SUBSPACES, 64, 4), 3),
             (FORKING_CONFIG, 1),
         ],
-        ids=["31-rows", "one-cpu"],
+        ids=["31-rows", "16-solves", "one-cpu"],
     )
     def test_small_sweeps_never_fork(self, monkeypatch, no_fork, config, cpus):
         monkeypatch.setattr(tprabi.sweep, "_available_cpus", lambda: cpus)
