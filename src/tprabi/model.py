@@ -132,13 +132,6 @@ class TridiagonalMatrix:
     def dimension(self) -> int:
         return len(self.diag)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.diag(self.diag)
-        idx = np.arange(self.dimension - 1)
-        out[idx + 1, idx] = self.offdiag
-        out[idx, idx + 1] = self.offdiag
-        return out
-
 
 @dataclass(frozen=True)
 class HermitianMatrix:
@@ -171,10 +164,10 @@ def require_integer(name: str, value: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_cutoff(cutoff: int, minimum: int) -> None:
+def _check_cutoff(cutoff: int) -> None:
     require_integer("cutoff", cutoff)
-    if cutoff < minimum:
-        raise ValueError(f"cutoff {cutoff} too small, need at least {minimum}")
+    if cutoff < 2:
+        raise ValueError(f"cutoff {cutoff} too small, need at least 2")
 
 
 def _hermitian(lower: np.ndarray) -> HermitianMatrix:
@@ -201,7 +194,7 @@ def build_full_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
     Matrix elements: omega*n +/- omega0/2 on the diagonal and
     g2*sqrt((n+1)(n+2)) between |n, s> and |n+2, flip(s)>.
     """
-    _check_cutoff(cutoff, 2)
+    _check_cutoff(cutoff)
     N = cutoff
     h = np.zeros((2 * N, 2 * N))
     n = np.arange(N, dtype=float)
@@ -221,7 +214,7 @@ def full_fock_chains(params: ModelParams, cutoff: int) -> list[Chain]:
     only |n, s> and |n+2, flip(s)>, so the chain started at |n0, s0> visits
     n = n0, n0+2, ... with alternating s. Ordered by (n0, s0) = (0, 0),
     (0, 1), (1, 0), (1, 1)."""
-    _check_cutoff(cutoff, 2)
+    _check_cutoff(cutoff)
     chains = []
     for n0 in (0, 1):
         n = np.arange(n0, cutoff, 2)
@@ -239,7 +232,7 @@ def build_phase_space(params: ModelParams, cutoff: int) -> HermitianMatrix:
     Spin-up block (alpha_+ p^2 + alpha_- q^2)/2, spin-down with the alphas
     swapped, and (omega0/2) sigma_x across the qubit.
     """
-    _check_cutoff(cutoff, 2)
+    _check_cutoff(cutoff)
     N = cutoff
     diag, off2 = _quadrature_bands(N)
     h = np.zeros((2 * N, 2 * N))
@@ -259,7 +252,7 @@ def build_rotated_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
     qubit coupling (omega0/2) through the diagonal Fock-space rotation with
     phases exp(-i pi (n + 1/2) / 2).
     """
-    _check_cutoff(cutoff, 2)
+    _check_cutoff(cutoff)
     N = cutoff
     diag, off2 = _quadrature_bands(N)
     h = np.zeros((2 * N, 2 * N), dtype=complex)
@@ -285,7 +278,7 @@ def build_subspace_tridiagonal(
     diag[m] = branch*(omega0/2)*(-1)^m + 2*omega*(q + m),
     offdiag[m] = -2*g2*sqrt((m+1)(m+2q)).
     """
-    _check_cutoff(cutoff, 2)
+    _check_cutoff(cutoff)
     M = cutoff
     q = label.bargmann_q
     m = np.arange(M, dtype=float)
@@ -293,9 +286,3 @@ def build_subspace_tridiagonal(
     head = m[: M - 1]
     offdiag = -2.0 * params.g2 * np.sqrt((head + 1.0) * (head + 2.0 * q))
     return TridiagonalMatrix(diag, offdiag)
-
-
-def boson_parity(cutoff: int) -> HermitianMatrix:
-    """Diagonal Fock-parity operator with entries (-1)^n."""
-    _check_cutoff(cutoff, 1)
-    return _hermitian(np.diag((-1.0) ** np.arange(cutoff, dtype=float)))

@@ -109,32 +109,46 @@ def _to_pairs(values: np.ndarray, vectors: np.ndarray) -> list[EigenPair]:
     ]
 
 
-def solve_tridiagonal(matrix: TridiagonalMatrix, k: int) -> list[EigenPair]:
-    """k lowest eigenpairs of a real symmetric tridiagonal matrix."""
+def _lowest(matrix: TridiagonalMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k lowest eigenvalues and eigenvector columns of a real symmetric tridiagonal matrix."""
     dim = matrix.dimension
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}], got {k}")
-    values, vectors = scipy.linalg.eigh_tridiagonal(
+    return scipy.linalg.eigh_tridiagonal(
         matrix.diag, matrix.offdiag, select="i", select_range=(0, k - 1)
     )
-    return _to_pairs(values, vectors)
+
+
+def solve_tridiagonal(matrix: TridiagonalMatrix, k: int) -> list[EigenPair]:
+    """k lowest eigenpairs of a real symmetric tridiagonal matrix."""
+    return _to_pairs(*_lowest(matrix, k))
 
 
 def solve_chains(chains: Sequence[Chain], k: int) -> list[EigenPair]:
     """k lowest eigenpairs of a qubit (x) Fock matrix split into tridiagonal
-    chains whose indices partition its own (model.full_fock_chains); chain
-    vectors are scattered back, so the pairs are the unsplit matrix's. Equal
-    values keep chain order."""
+    chains whose indices partition its own (model.full_fock_chains). Each
+    chain is solved once, the k lowest values of the union are picked (equal
+    values keep chain order), and only those k get a canonical sign and a
+    vector scattered back onto the unsplit matrix's indices. Every solved
+    column is checked as an EigenPair would check it, picked or not."""
     dim = sum(chain.dimension for _, chain in chains)
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}], got {k}")
+    solved = [(indices, *_lowest(chain, min(k, chain.dimension))) for indices, chain in chains]
+    for _, values, vectors in solved:
+        norms = np.linalg.norm(vectors, axis=0)
+        # written so that a nan norm (a non-finite column) fails as well
+        if not (np.all(np.abs(norms - 1.0) <= 1e-12) and np.all(np.isfinite(values))):
+            raise ValueError(f"chain norms off 1 by {np.max(abs(norms - 1))} or values not finite")
+    union = np.concatenate([values for _, values, _ in solved])
+    where = [(c, j) for c, (_, values, _) in enumerate(solved) for j in range(len(values))]
     pairs = []
-    for indices, chain in chains:
-        for pair in solve_tridiagonal(chain, min(k, chain.dimension)):
-            vector = np.zeros(dim)
-            vector[indices] = pair.vector
-            pairs.append(EigenPair(pair.value, vector))
-    return sorted(pairs, key=lambda pair: pair.value)[:k]
+    for c, j in (where[i] for i in np.argsort(union, kind="stable")[:k]):
+        indices, values, vectors = solved[c]
+        vector = np.zeros(dim)
+        vector[indices] = _canonical_sign(vectors[:, j])
+        pairs.append(EigenPair(float(values[j]), vector))
+    return pairs
 
 
 def solve_hermitian(matrix: HermitianMatrix, k: int) -> list[EigenPair]:

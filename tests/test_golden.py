@@ -52,6 +52,12 @@ CASES = {
         " --count 30 --tail-fraction 0.3 --tol 1e-8".split(),
         False,
     ),
+    # the benchmark's full_spectrum size, 0.998 g_c: 15 of 25 pairs converge
+    "spectrum_full_1024": (
+        TPRABI
+        + "spectrum --omega0 0.7 --omega 0.6 --g2 0.2995 --cutoff 1024 --subspace full".split(),
+        False,
+    ),
     "modes_harmonic": (
         TPRABI
         + "modes --omega 0.5 --g2 0.1 --subspace q14+ --level 1 --cutoff 256"

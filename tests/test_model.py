@@ -15,7 +15,6 @@ from tprabi import (
     ModelParams,
     SubspaceLabel,
     TridiagonalMatrix,
-    boson_parity,
     build_full_fock,
     build_phase_space,
     build_rotated_fock,
@@ -93,11 +92,6 @@ class TestStorageTypes:
             TridiagonalMatrix(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             TridiagonalMatrix(np.array([1.0, np.inf]), np.zeros(1))
-
-    def test_tridiagonal_to_dense(self):
-        t = TridiagonalMatrix(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0]))
-        expected = np.array([[1, 4, 0], [4, 2, 5], [0, 5, 3]], dtype=float)
-        assert np.array_equal(t.to_dense(), expected)
 
     def test_dense_must_be_hermitian(self):
         with pytest.raises(ValueError):
@@ -253,18 +247,11 @@ class TestSubspaceTridiagonal:
 
 
 class TestBosonParity:
-    def test_alternating_diagonal(self):
-        p = boson_parity(4)
-        assert np.array_equal(p.data, np.diag([1.0, -1.0, 1.0, -1.0]))
-
-    def test_involution(self):
-        p = boson_parity(16).data
-        assert np.array_equal(p @ p, np.eye(16))
-
     @given(params_st, st.sampled_from([8, 32, 256]))
     def test_commutes_with_full_model(self, params, cutoff):
         h = build_full_fock(params, cutoff).data
-        p = np.kron(boson_parity(cutoff).data, np.eye(2))
+        # Fock parity (-1)^n on the boson, identity on the qubit
+        p = np.kron(np.diag((-1.0) ** np.arange(cutoff)), np.eye(2))
         assert np.array_equal(h @ p, p @ h)
 
 

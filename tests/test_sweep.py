@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tprabi.sweep
 from tprabi import (
@@ -34,6 +35,7 @@ from tprabi import (
     locate_collapse,
     refine_comb,
     run_sweep,
+    solve_chains,
     solve_hermitian,
     solve_point,
     solve_tridiagonal,
@@ -748,15 +750,62 @@ class TestFullChainSolve:
 
     def test_memory_stays_bounded_at_large_cutoff(self):
         # the unsplit solve would build a dense matrix of 16384^2 doubles
-        # (2 GB); the chains need four small eigenvector blocks
+        # (2 GB); the chains need four 4096 x 25 eigenvector blocks (3.3 MB)
+        # and the 25 returned vectors of 16384 doubles (3.3 MB), so scattering
+        # every chain pair (100 vectors, 13 MB) does not fit
         tracemalloc.start()
         try:
             got = solve_point(ModelParams(1.0, 0.5, 0.2), FULL, 8192, 25)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 10 * 2**20
         assert got.converged_count == 25
+
+    @pytest.mark.parametrize("k", [1, 30, "all"])
+    @pytest.mark.parametrize("cutoff", [2, 3, 128, 129])
+    @pytest.mark.parametrize("omega0", [0.0, 1.0])  # 0: twin chains, equal spectra
+    def test_pairs_equal_scattering_every_chain_pair(self, omega0, cutoff, k):
+        # the reference packages every chain pair, scatters it and keeps the
+        # k lowest by a stable sort; solve_chains packages only those k
+        k = 2 * cutoff if k == "all" else min(k, 2 * cutoff)
+        chains = full_fock_chains(ModelParams(omega0, 0.5, 0.2), cutoff)
+        reference = []
+        for indices, chain in chains:
+            for pair in solve_tridiagonal(chain, min(k, chain.dimension)):
+                vector = np.zeros(2 * cutoff)
+                vector[indices] = pair.vector
+                reference.append(EigenPair(pair.value, vector))
+        reference = sorted(reference, key=lambda pair: pair.value)[:k]
+        got = solve_chains(chains, k)
+        assert [p.value for p in got] == [p.value for p in reference]
+        for a, b in zip(got, reference):
+            assert np.array_equal(a.vector, b.vector)
+
+    @pytest.mark.parametrize("damage", [1.5, np.nan])
+    def test_bad_column_outside_the_returned_pairs_raises(self, monkeypatch, damage):
+        # every chain's last column lies above the 25 lowest values; a
+        # column that is not unit-norm there still fails the solve, and a
+        # sweep turns that into a failure row
+        params = ModelParams(1.0, 0.5, 0.2)
+        lowest = scipy.linalg.eigh_tridiagonal
+        kept = max(p.value for p in solve_point(params, FULL, 128, 25).pairs)
+        last = [
+            lowest(c.diag, c.offdiag, select="i", select_range=(0, 24))[0][-1]
+            for _, c in full_fock_chains(params, 128)
+        ]
+        assert kept < min(last)
+
+        def damaged(*args, **kwargs):
+            values, vectors = lowest(*args, **kwargs)
+            vectors[:, -1] *= damage
+            return values, vectors
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", damaged)
+        with pytest.raises(ValueError):
+            solve_point(params, FULL, 128, 25)
+        config = SweepConfig((1.0,), (0.5,), (0.2,), (FULL,), 128)
+        assert run_sweep(config).rows[0].converged_count == FAILURE_COUNT
 
 
 class TestRefineIntegration:
