@@ -18,7 +18,7 @@ from tprabi import (
     run_sweep,
     subspace_from_name,
 )
-from tprabi.cli import sweep_csv
+from tprabi.cli import _write_atomic, sweep_csv
 
 
 def parse_args(argv=None):
@@ -51,8 +51,11 @@ def main(argv=None):
     estimate_for = partial(locate_collapse, config)
     if args.out is not None:
         result = run_sweep(config)
-        with open(args.out, "w", newline="") as handle:
-            handle.write(sweep_csv(result))
+        try:
+            _write_atomic(args.out, sweep_csv(result))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {len(result.rows)} rows to {args.out}")
         estimate_for = partial(detect_collapse, result)
 

@@ -3,55 +3,36 @@
 Truncated-basis Hamiltonian builders, dense and tridiagonal eigensolvers
 with a tail-norm convergence filter, closed-form results for the degenerate
 regime, and coupling sweeps that locate the collapse point g_c = omega / 2.
+
+The names below are the public API. Everything else is reached through its
+module (tprabi.model, tprabi.solver, tprabi.sweep, tprabi.analytic) and may
+change.
 """
 
 from .analytic import (
     Regime,
-    RegimeData,
     SpectralCollapseError,
     classify_regime,
     critical_coupling,
-    degenerate_energies,
     degenerate_spectrum,
     fock_to_position,
     general_solution,
     hermite_gauss,
-    kummer_1f1,
     plane_wave,
 )
 from .model import (
     ALL_SUBSPACES,
     FULL,
-    HermitianMatrix,
     ModelParams,
     SubspaceLabel,
-    TridiagonalMatrix,
     build_full_fock,
-    build_phase_space,
-    build_rotated_fock,
     build_subspace_tridiagonal,
-    full_fock_chains,
     subspace_from_name,
 )
-from .solver import (
-    Alignment,
-    EigenPair,
-    FilteredSpectrum,
-    align_spectra,
-    convergence_filter,
-    solve_chains,
-    solve_hermitian,
-    solve_tridiagonal,
-    tail_norm_of,
-)
+from .solver import convergence_filter, solve_hermitian, solve_tridiagonal
 from .sweep import (
-    FAILURE_COUNT,
-    CollapseEstimate,
-    ExceptionalState,
     RelativeComb,
     SweepConfig,
-    SweepResult,
-    SweepRow,
     detect_collapse,
     exceptional_state,
     locate_collapse,
@@ -64,50 +45,31 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_SUBSPACES",
-    "Alignment",
-    "CollapseEstimate",
-    "EigenPair",
-    "ExceptionalState",
-    "FAILURE_COUNT",
     "FULL",
-    "FilteredSpectrum",
-    "HermitianMatrix",
     "ModelParams",
     "Regime",
-    "RegimeData",
     "RelativeComb",
     "SpectralCollapseError",
     "SubspaceLabel",
     "SweepConfig",
-    "SweepResult",
-    "SweepRow",
-    "TridiagonalMatrix",
-    "align_spectra",
     "build_full_fock",
-    "build_phase_space",
-    "build_rotated_fock",
     "build_subspace_tridiagonal",
     "classify_regime",
     "convergence_filter",
     "critical_coupling",
-    "degenerate_energies",
     "degenerate_spectrum",
     "detect_collapse",
     "exceptional_state",
     "fock_to_position",
-    "full_fock_chains",
     "general_solution",
     "hermite_gauss",
-    "kummer_1f1",
     "locate_collapse",
     "plane_wave",
     "refine_comb",
     "run_sweep",
-    "solve_chains",
     "solve_hermitian",
     "solve_point",
     "solve_tridiagonal",
     "subspace_from_name",
-    "tail_norm_of",
     "__version__",
 ]

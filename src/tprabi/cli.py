@@ -338,10 +338,9 @@ def _oracle_alignment(cutoff: int, point: tuple[float, float, float]) -> float:
     )
     subs = [solve_point(params, lbl, cutoff, cutoff) for lbl in ALL_SUBSPACES]
     try:
-        alignments = align_spectra(full, subs)
+        return align_spectra(full, subs).residual
     except ValueError:
         return float("inf")
-    return max(0.0, *(a.residual for a in alignments))
 
 
 def _oracle_degenerate(cutoff: int) -> float:

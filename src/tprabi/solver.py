@@ -69,7 +69,7 @@ class FilteredSpectrum:
 
 
 class Alignment(NamedTuple):
-    """Shift onto the reference and the largest deviation of one spectrum."""
+    """Shift onto the reference and the largest compared deviation."""
 
     offset: float
     residual: float
@@ -183,7 +183,7 @@ def convergence_filter(
 
 def align_spectra(
     reference: FilteredSpectrum, others: Sequence[FilteredSpectrum]
-) -> list[Alignment]:
+) -> Alignment:
     """One constant shift mapping the union of others onto the reference.
 
     Only converged values participate. The shift is anchored on the ground
@@ -192,9 +192,8 @@ def align_spectra(
     max(2, ceil(common / 10)) entries. The top of the converged set straddles
     the verdict threshold, which lands on different Fock levels in two
     truncation geometries, so it is trimmed; a systematic misalignment would
-    corrupt low entries as well. Every Alignment carries the shared offset;
-    its residual is the largest deviation among that spectrum's own compared
-    values (0 when none is compared).
+    corrupt low entries as well. The residual is the largest deviation among
+    the compared entries.
 
     Raises ValueError when a spectrum has no converged value or fewer than 3
     entries would be compared.
@@ -203,17 +202,10 @@ def align_spectra(
     values = [spectrum.converged_values for spectrum in others]
     if not values or any(len(v) == 0 for v in values):
         raise ValueError("every spectrum to align needs a converged value")
-    merged = np.concatenate(values)
-    common = min(len(merged), len(ref))
+    union = np.sort(np.concatenate(values))
+    common = min(len(union), len(ref))
     keep = common - max(2, -(-common // 10))
     if keep < 3:
         raise ValueError(f"{keep} entries to compare, need >= 3")
-    order = np.argsort(merged, kind="stable")
-    union = merged[order]
-    owner = np.repeat(np.arange(len(values)), [len(v) for v in values])[order[:keep]]
     offset = float(ref[0] - union[0])
-    deviation = np.abs(union[:keep] + offset - ref[:keep])
-    return [
-        Alignment(offset, float(np.max(deviation[owner == i], initial=0.0)))
-        for i in range(len(values))
-    ]
+    return Alignment(offset, float(np.max(np.abs(union[:keep] + offset - ref[:keep]))))

@@ -7,7 +7,8 @@ import time
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tprabi import RelativeComb, SubspaceLabel, SweepConfig, SweepResult, run_sweep
+from tprabi import RelativeComb, SubspaceLabel, SweepConfig, run_sweep
+from tprabi.sweep import SweepResult
 
 settings.register_profile(
     "suite",

@@ -15,14 +15,13 @@ from tprabi import (
     SubspaceLabel,
     classify_regime,
     critical_coupling,
-    degenerate_energies,
     degenerate_spectrum,
     fock_to_position,
     general_solution,
     hermite_gauss,
-    kummer_1f1,
     plane_wave,
 )
+from tprabi.analytic import degenerate_energies, kummer_1f1
 from tprabi.cli import _closed_form_and_numeric
 
 Q14P = SubspaceLabel(0.25, 1)

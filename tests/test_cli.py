@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tprabi.cli
-from tprabi import FULL, FilteredSpectrum, RelativeComb, SubspaceLabel, SweepConfig
+from tprabi import FULL, RelativeComb, SubspaceLabel, SweepConfig
 from tprabi.cli import main, parse_sweep_config, serialize_sweep_config
+from tprabi.solver import FilteredSpectrum
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 GOOD_CONFIG = """\
@@ -635,6 +636,17 @@ def test_study_script_usage_errors_exit_two(capsys, script, flags, message):
     assert f": error: {message}" in captured.err.splitlines()[-1]
 
 
+def run_script(script, argv):
+    src = str(Path(tprabi.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 @pytest.mark.parametrize(
     "script,flags,message",
     # one case per script, run as a program
@@ -642,13 +654,16 @@ def test_study_script_usage_errors_exit_two(capsys, script, flags, message):
     ids=[script_case_id(SCRIPT_USAGE_ERRORS[i]) for i in (0, 4, 5)],
 )
 def test_study_script_usage_error_exit_code(script, flags, message):
-    src = str(Path(tprabi.cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *flags.split()],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = run_script(script, flags.split())
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines()[-1].startswith(f"{script}: error: {message}")
+
+
+@pytest.mark.parametrize("out", [".", "missing/x.csv"], ids=["directory", "missing-parent"])
+def test_survey_unwritable_out_is_an_error_line(tmp_path, out):
+    # the table write used to end in a traceback after the whole sweep had run
+    argv = ["--cutoff", "64", "--steps", "4", "--out", str(tmp_path / out)]
+    proc = run_script("collapse_survey.py", argv)
+    assert proc.returncode == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tprabi-")]

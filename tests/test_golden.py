@@ -29,8 +29,9 @@ from pathlib import Path
 import pytest
 
 import tprabi
-from tprabi import SweepResult, run_sweep
+from tprabi import run_sweep
 from tprabi.cli import _sweep_summary, parse_sweep_config, sweep_csv
+from tprabi.sweep import SweepResult
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).parents[1] / "scripts"

@@ -11,18 +11,20 @@ from hypothesis import strategies as st
 from tprabi import (
     ALL_SUBSPACES,
     FULL,
-    HermitianMatrix,
     ModelParams,
     SubspaceLabel,
-    TridiagonalMatrix,
     build_full_fock,
-    build_phase_space,
-    build_rotated_fock,
     build_subspace_tridiagonal,
-    full_fock_chains,
     solve_hermitian,
 )
-from tprabi.model import subspace_from_name
+from tprabi.model import (
+    HermitianMatrix,
+    TridiagonalMatrix,
+    build_phase_space,
+    build_rotated_fock,
+    full_fock_chains,
+    subspace_from_name,
+)
 
 params_st = st.builds(
     ModelParams,

@@ -9,19 +9,16 @@ from hypothesis import strategies as st
 
 from tprabi import (
     ALL_SUBSPACES,
-    EigenPair,
-    HermitianMatrix,
     ModelParams,
     SubspaceLabel,
-    TridiagonalMatrix,
-    align_spectra,
     build_full_fock,
     build_subspace_tridiagonal,
     convergence_filter,
     solve_hermitian,
     solve_tridiagonal,
-    tail_norm_of,
 )
+from tprabi.model import HermitianMatrix, TridiagonalMatrix
+from tprabi.solver import EigenPair, align_spectra, tail_norm_of
 
 Q14P = SubspaceLabel(0.25, 1)
 
@@ -238,14 +235,14 @@ class TestAlignSpectra:
 
     def test_identical_spectra(self):
         ref = self._reference()
-        alignment = align_spectra(ref, [ref])[0]
+        alignment = align_spectra(ref, [ref])
         assert alignment.offset == pytest.approx(0.0, abs=1e-12)
         assert alignment.residual < 1e-12
 
     def test_constant_shift_recovered(self):
         ref = self._reference()
         shifted = convergence_filter([EigenPair(p.value + 0.25, p.vector) for p in ref.pairs])
-        alignment = align_spectra(ref, [shifted])[0]
+        alignment = align_spectra(ref, [shifted])
         assert alignment.offset == pytest.approx(-0.25, abs=1e-12)
         assert alignment.residual < 1e-12
 
@@ -265,11 +262,10 @@ class TestAlignSpectra:
             solve_hermitian(matrix, matrix.dimension), qubit_dim=2
         )
         subs = _filtered_subspaces(params, 128, 128)
-        alignments = align_spectra(full, subs)
-        for alignment in alignments:
-            assert alignment.residual < 1e-8
-            # quadrature-form subspaces sit omega/2 above the full model
-            assert alignment.offset == pytest.approx(-0.25, abs=1e-8)
+        alignment = align_spectra(full, subs)
+        assert alignment.residual < 1e-8
+        # quadrature-form subspaces sit omega/2 above the full model
+        assert alignment.offset == pytest.approx(-0.25, abs=1e-8)
 
     @pytest.mark.parametrize("g2", [0.0, 0.1, 0.2])
     def test_block_completeness(self, g2):
@@ -279,12 +275,8 @@ class TestAlignSpectra:
             solve_hermitian(matrix, matrix.dimension), qubit_dim=2
         )
         subs = _filtered_subspaces(params, 128, 128)
-        alignments = align_spectra(full, subs)
-        union = np.sort(
-            np.concatenate(
-                [s.converged_values + a.offset for s, a in zip(subs, alignments)]
-            )
-        )
+        offset = align_spectra(full, subs).offset
+        union = np.sort(np.concatenate([s.converged_values + offset for s in subs]))
         assert len(union) == full.converged_count
         assert np.max(np.abs(union - full.converged_values)) < 1e-8
 
@@ -309,12 +301,9 @@ class TestSharedOffset:
         subs[2] = convergence_filter(
             [EigenPair(p.value + delta, p.vector) for p in moved.pairs]
         )
-        alignments = align_spectra(full, subs)
-        assert alignments[2].residual == pytest.approx(delta, rel=1e-8)
-        for i in (0, 1, 3):
-            assert alignments[i].residual < 1e-8
-        assert all(a.offset == alignments[0].offset for a in alignments)
-        assert alignments[0].offset == pytest.approx(-0.25, abs=1e-8)
+        alignment = align_spectra(full, subs)
+        assert alignment.residual == pytest.approx(delta, rel=1e-8)
+        assert alignment.offset == pytest.approx(-0.25, abs=1e-8)
 
     @pytest.mark.parametrize("index,counted", [(0, True), (21, True), (22, False), (24, False)])
     def test_compares_the_prefix_less_its_top_tenth(self, index, counted):
@@ -328,7 +317,7 @@ class TestSharedOffset:
                 for i, p in enumerate(ref.pairs)
             ]
         )
-        alignment = align_spectra(ref, [bumped])[0]
+        alignment = align_spectra(ref, [bumped])
         # a bumped ground state moves the anchor, which shifts every other entry
         assert alignment.residual == pytest.approx(1e-3 if counted else 0.0, abs=1e-12)
 

@@ -15,32 +15,27 @@ import scipy.linalg
 import tprabi.sweep
 from tprabi import (
     ALL_SUBSPACES,
-    FAILURE_COUNT,
     FULL,
-    CollapseEstimate,
-    EigenPair,
-    FilteredSpectrum,
     ModelParams,
     RelativeComb,
     SubspaceLabel,
     SweepConfig,
-    SweepResult,
-    SweepRow,
     build_full_fock,
     build_subspace_tridiagonal,
     convergence_filter,
     detect_collapse,
     exceptional_state,
-    full_fock_chains,
     locate_collapse,
     refine_comb,
     run_sweep,
-    solve_chains,
     solve_hermitian,
     solve_point,
     solve_tridiagonal,
 )
 from tprabi.cli import parse_sweep_config
+from tprabi.model import full_fock_chains
+from tprabi.solver import EigenPair, FilteredSpectrum, solve_chains
+from tprabi.sweep import FAILURE_COUNT, CollapseEstimate, SweepResult, SweepRow
 
 Q14P = SubspaceLabel(0.25, 1)
 Q34P = SubspaceLabel(0.75, 1)
