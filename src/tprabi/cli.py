@@ -349,7 +349,7 @@ def _oracle_degenerate(cutoff: int) -> float:
         params = ModelParams(0.0, 0.45, g2)
         # at omega0 = 0 both branches of a Bargmann sector are the same
         # matrix, and the closed form reads only bargmann_q: one branch each
-        for label in ALL_SUBSPACES[::2]:
+        for label in (s for s in ALL_SUBSPACES if s.branch == 1):
             values = solve_point(params, label, 8 * cutoff, 12).converged_values[:5]
             if len(values) < 5:
                 return float("inf")

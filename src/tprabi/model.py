@@ -212,17 +212,17 @@ def build_full_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
 def full_fock_chains(params: ModelParams, cutoff: int) -> list[Chain]:
     """build_full_fock split into its four parity chains: the coupling joins
     only |n, s> and |n+2, flip(s)>, so the chain started at |n0, s0> visits
-    n = n0, n0+2, ... with alternating s. Ordered by (n0, s0) = (0, 0),
-    (0, 1), (1, 0), (1, 1)."""
+    n = n0, n0+2, ... with alternating s. Chain c starts at n0 = the Fock
+    parity of ALL_SUBSPACES[c] and s0 = 0 on its + branch, so it is that
+    sector's ladder: (n0, s0) = (0, 0), (0, 1), (1, 0), (1, 1)."""
     _check_cutoff(cutoff)
     chains = []
-    for n0 in (0, 1):
-        n = np.arange(n0, cutoff, 2)
-        for s0 in (0, 1):
-            s = (s0 + np.arange(len(n))) % 2
-            diag = params.omega * n + np.where(s == 0, 0.5, -0.5) * params.omega0
-            offdiag = params.g2 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
-            chains.append((2 * n + s, TridiagonalMatrix(diag, offdiag)))
+    for label in ALL_SUBSPACES:
+        n = np.arange(label.fock_parity, cutoff, 2)
+        s = (np.arange(len(n)) + (0 if label.branch == 1 else 1)) % 2
+        diag = params.omega * n + np.where(s == 0, 0.5, -0.5) * params.omega0
+        offdiag = params.g2 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
+        chains.append((2 * n + s, TridiagonalMatrix(diag, offdiag)))
     return chains
 
 

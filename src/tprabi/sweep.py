@@ -185,31 +185,6 @@ class SweepResult:
     config: SweepConfig
     rows: tuple[SweepRow, ...]
 
-    def slice_rows(
-        self,
-        omega0: float,
-        omega: float,
-        subspace: Optional[Subspace] = None,
-    ) -> list[SweepRow]:
-        return _select(self.rows, omega0, omega, subspace)
-
-
-def _select(
-    items: Iterable, omega0: float, omega: float, subspace: Optional[Subspace]
-) -> list:
-    """The rows (or grid points) of one slice, in grid order. Without a
-    subspace the slice must hold only one."""
-    items = [x for x in items if x.omega0 == omega0 and x.omega == omega]
-    if subspace is not None:
-        return [x for x in items if x.subspace == subspace]
-    present = {x.subspace for x in items}
-    if len(present) > 1:
-        raise ValueError(
-            f"slice holds {len(present)} subspaces, pass one of "
-            f"{sorted(s.name for s in present)}"
-        )
-    return items
-
 
 @dataclass(frozen=True)
 class CollapseEstimate:
@@ -435,11 +410,26 @@ def _first_collapse(couplings: Sequence[float], rows: Iterable[SweepRow]) -> Col
     return CollapseEstimate()
 
 
-def _check_comb(couplings: Sequence[float]) -> None:
+def _comb_slice(
+    config: SweepConfig, items: Iterable, omega0: float, omega: float, subspace: Optional[Subspace]
+) -> tuple[list, list[float]]:
+    """The rows (or grid points) of one slice of config's grid, in grid
+    order, and their couplings, which must form a comb. Without a subspace
+    the config must list only one."""
+    if subspace is None:
+        if len(config.subspaces) > 1:
+            raise ValueError(
+                f"slice holds {len(config.subspaces)} subspaces, pass one of "
+                f"{sorted(s.name for s in config.subspaces)}"
+            )
+        subspace = config.subspaces[0]
+    items = [x for x in items if (x.omega0, x.omega, x.subspace) == (omega0, omega, subspace)]
+    couplings = [x.g2 for x in items]
     if len(couplings) < 2:
         raise ValueError(f"slice needs >= 2 comb points, got {len(couplings)}")
     if not all(a < b for a, b in zip(couplings, couplings[1:])):
         raise ValueError("coupling comb must be strictly increasing")
+    return items, couplings
 
 
 def detect_collapse(
@@ -452,10 +442,9 @@ def detect_collapse(
 
     Failed rows never count as collapse evidence.
     The returned step is the local comb spacing at the detection point.
+    Without a subspace, the sweep's config must list only one.
     """
-    rows = result.slice_rows(omega0, omega, subspace)
-    couplings = [r.g2 for r in rows]
-    _check_comb(couplings)
+    rows, couplings = _comb_slice(result.config, result.rows, omega0, omega, subspace)
     return _first_collapse(couplings, rows)
 
 
@@ -489,9 +478,7 @@ def locate_collapse(
     that no probe lands on cannot be seen: with counts 25, 0, 25, 25, 0 the
     scan reports the second point and this search the last.
     """
-    points = _select(_grid_points(config), omega0, omega, subspace)
-    couplings = [p.g2 for p in points]
-    _check_comb(couplings)
+    points, couplings = _comb_slice(config, _grid_points(config), omega0, omega, subspace)
     n = len(couplings)
     probed: dict[int, SweepRow] = {}
 

@@ -301,7 +301,7 @@ class TestSweepScalingProperties:
         # 0.98 g_c and g_c are comb points 98 and 100 of the 200-step comb
         for omega0, omega, gc in SURVEY_SLICES:
             result, _ = coarse_sweeps(omega0, omega)
-            rows = result.slice_rows(omega0, omega)
+            rows = [r for r in result.rows if (r.omega0, r.omega) == (omega0, omega)]
             near = [r for r in rows if abs(r.g2 - 0.98 * gc) < 1e-12]
             at = [r for r in rows if abs(r.g2 - gc) < 1e-12]
             assert len(near) == 1 and len(at) == 1

@@ -160,6 +160,20 @@ class TestFullFockChains:
         chains = full_fock_chains(ModelParams(1.0, 0.5, 0.2), cutoff)
         assert [chain.dimension for _, chain in chains] == lengths
 
+    @pytest.mark.parametrize("g2", [0.0, 0.4])
+    @pytest.mark.parametrize("omega0", [0.0, 1.3])
+    @pytest.mark.parametrize("cutoff", [64, 65, 2048])
+    def test_chain_c_is_sector_c(self, cutoff, omega0, g2):
+        # the same ladder up to the full model's -omega/2 shift and the
+        # sector's sign convention on the coupling
+        params = ModelParams(omega0, 0.5, g2)
+        for label, (_, chain) in zip(ALL_SUBSPACES, full_fock_chains(params, cutoff)):
+            sector = build_subspace_tridiagonal(label, params, chain.dimension)
+            assert np.array_equal(chain.offdiag, -sector.offdiag), label.name
+            np.testing.assert_allclose(
+                chain.diag, sector.diag - params.omega / 2, rtol=1e-15, atol=0
+            )
+
     def test_cutoff_minimum(self):
         with pytest.raises(ValueError):
             full_fock_chains(ModelParams(1.0, 1.0, 0.1), 1)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import signal
 import threading
 import tracemalloc
@@ -48,8 +49,9 @@ def make_row(g2, count, *, omega0=1.0, omega=0.5, subspace=Q14P, error=None):
     return SweepRow(omega0, omega, g2, subspace, energies, error)
 
 
-def make_result(rows):
-    config = SweepConfig((1.0,), (0.5,), tuple(r.g2 for r in rows), (Q14P,), 1024)
+def make_result(rows, subspaces=(Q14P,)):
+    """rows under a config listing subspaces (its couplings are the rows')."""
+    config = SweepConfig((1.0,), (0.5,), tuple(r.g2 for r in rows), subspaces, 1024)
     return SweepResult(config, tuple(rows))
 
 
@@ -205,8 +207,9 @@ class TestDetectCollapse:
             make_row(0.2, 25),
             make_row(0.2, 25, subspace=Q34P),
         ]
-        result = make_result(rows)
-        with pytest.raises(ValueError):
+        result = make_result(rows, subspaces=(Q14P, Q34P))
+        message = "slice holds 2 subspaces, pass one of ['q14+', 'q34+']"
+        with pytest.raises(ValueError, match=re.escape(message)):
             detect_collapse(result, 1.0, 0.5)
         estimate = detect_collapse(result, 1.0, 0.5, subspace=Q14P)
         assert not estimate.found
@@ -336,6 +339,7 @@ class TestLocateCollapse:
         [
             ({}, 1.0, None, "pass one of"),
             ({}, 2.0, Q14P, "got 0"),
+            ({}, 2.0, None, "pass one of"),  # not in the grid, and no subspace
             (dict(coupling_spec=(0.1,)), 1.0, Q14P, "got 1"),
             (dict(coupling_spec=(0.2, 0.1)), 1.0, Q14P, "strictly increasing"),
         ],
@@ -343,10 +347,11 @@ class TestLocateCollapse:
     def test_validation_matches_detect_collapse(self, over, omega0, subspace, message):
         base = SweepConfig((1.0,), (0.5,), (0.1, 0.2), (Q14P, Q34P), 64)
         config = dataclasses.replace(base, **over)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as scanned:
             detect_collapse(run_sweep(config), omega0, 0.5, subspace)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as searched:
             locate_collapse(config, omega0, 0.5, subspace)
+        assert str(searched.value) == str(scanned.value)
 
 
 class TestRefineComb:
