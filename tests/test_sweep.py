@@ -339,9 +339,9 @@ class TestLocateCollapse:
         [
             ({}, 1.0, None, "pass one of"),
             ({}, 2.0, Q14P, "got 0"),
-            ({}, 2.0, None, "pass one of"),  # not in the grid, and no subspace
             (dict(coupling_spec=(0.1,)), 1.0, Q14P, "got 1"),
             (dict(coupling_spec=(0.2, 0.1)), 1.0, Q14P, "strictly increasing"),
+            ({}, 2.0, None, "pass one of"),  # not in the grid, and no subspace
         ],
     )
     def test_validation_matches_detect_collapse(self, over, omega0, subspace, message):
