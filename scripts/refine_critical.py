@@ -48,10 +48,18 @@ def main(argv=None):
         return 1
     print(f"coarse:  g_c ~= {coarse.coupling:.8g} +- {coarse.step:.2g}")
 
-    refined = locate_collapse(refine_comb(config, coarse.coupling), args.omega0, args.omega)
+    fine = refine_comb(config, coarse.coupling)
+    refined = locate_collapse(fine, args.omega0, args.omega)
     if not refined.found:
-        # the fine window can sit entirely past the drop; report the coarse hit
+        # counts that rise again past the coarse hit can leave the whole
+        # window uncollapsed; report the coarse hit
         print("refined comb saw no count drop; the coarse estimate stands")
+        return 0
+    if refined.coupling == fine.coupling_spec[0]:
+        # a coarse step wider than the window can put it wholly past the
+        # drop: every point has collapsed and the first only bounds g_c above
+        print("refined comb collapsed at its first point: the drop lies at or below the")
+        print("window, and the coarse estimate stands")
         return 0
     print(f"refined: g_c ~= {refined.coupling:.8g} +- {refined.step:.2g}")
     print(f"g_c/omega = {refined.coupling / args.omega:.6f} (0.5 expected)")

@@ -101,19 +101,36 @@ def _canonical_sign(vector: np.ndarray) -> np.ndarray:
     return -vector if pivot < 0 else vector
 
 
-def _to_pairs(values: np.ndarray, vectors: np.ndarray) -> list[EigenPair]:
-    """Pairs in ascending value order (stable), each vector in canonical sign."""
-    return [
-        EigenPair(float(values[i]), _canonical_sign(vectors[:, i]))
-        for i in np.argsort(values, kind="stable")
-    ]
+def _check_k(k: int, dim: int) -> None:
+    if not 1 <= k <= dim:
+        raise ValueError(f"k must be in [1, {dim}], got {k}")
+
+
+def _package(blocks: Sequence[tuple], k: int) -> list[EigenPair]:
+    """The k lowest eigenpairs of solved blocks (indices or None, values,
+    vector columns) by a stable sort in block order. Every column is checked,
+    picked or not; the k picked get a canonical sign and, given indices, a scatter."""
+    values = np.concatenate([block_values for _, block_values, _ in blocks])
+    off = np.abs(np.concatenate([np.linalg.norm(v, axis=0) for *_, v in blocks]) - 1.0)
+    # written so that a nan norm (a non-finite column) fails as well
+    if not (np.all(off <= 1e-12) and np.all(np.isfinite(values))):
+        raise ValueError(f"eigenvector norms off 1 by {np.max(off)} or eigenvalues not finite")
+    dim = sum(len(v) for *_, v in blocks)
+    where = [(indices, v, j) for indices, _, v in blocks for j in range(v.shape[1])]
+    pairs = []
+    for i in np.argsort(values, kind="stable")[:k]:
+        indices, vectors, j = where[i]
+        vector = _canonical_sign(vectors[:, j])
+        if indices is not None:
+            scattered = np.zeros(dim)
+            scattered[indices] = vector
+            vector = scattered
+        pairs.append(EigenPair(float(values[i]), vector))
+    return pairs
 
 
 def _lowest(matrix: TridiagonalMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k lowest eigenvalues and eigenvector columns of a real symmetric tridiagonal matrix."""
-    dim = matrix.dimension
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must be in [1, {dim}], got {k}")
     return scipy.linalg.eigh_tridiagonal(
         matrix.diag, matrix.offdiag, select="i", select_range=(0, k - 1)
     )
@@ -121,43 +138,23 @@ def _lowest(matrix: TridiagonalMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_tridiagonal(matrix: TridiagonalMatrix, k: int) -> list[EigenPair]:
     """k lowest eigenpairs of a real symmetric tridiagonal matrix."""
-    return _to_pairs(*_lowest(matrix, k))
+    _check_k(k, matrix.dimension)
+    return _package([(None, *_lowest(matrix, k))], k)
 
 
 def solve_chains(chains: Sequence[Chain], k: int) -> list[EigenPair]:
     """k lowest eigenpairs of a qubit (x) Fock matrix split into tridiagonal
-    chains whose indices partition its own (model.full_fock_chains). Each
-    chain is solved once, the k lowest values of the union are picked (equal
-    values keep chain order), and only those k get a canonical sign and a
-    vector scattered back onto the unsplit matrix's indices. Every solved
-    column is checked as an EigenPair would check it, picked or not."""
-    dim = sum(chain.dimension for _, chain in chains)
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must be in [1, {dim}], got {k}")
-    solved = [(indices, *_lowest(chain, min(k, chain.dimension))) for indices, chain in chains]
-    for _, values, vectors in solved:
-        norms = np.linalg.norm(vectors, axis=0)
-        # written so that a nan norm (a non-finite column) fails as well
-        if not (np.all(np.abs(norms - 1.0) <= 1e-12) and np.all(np.isfinite(values))):
-            raise ValueError(f"chain norms off 1 by {np.max(abs(norms - 1))} or values not finite")
-    union = np.concatenate([values for _, values, _ in solved])
-    where = [(c, j) for c, (_, values, _) in enumerate(solved) for j in range(len(values))]
-    pairs = []
-    for c, j in (where[i] for i in np.argsort(union, kind="stable")[:k]):
-        indices, values, vectors = solved[c]
-        vector = np.zeros(dim)
-        vector[indices] = _canonical_sign(vectors[:, j])
-        pairs.append(EigenPair(float(values[j]), vector))
-    return pairs
+    chains whose indices partition its own (model.full_fock_chains)."""
+    _check_k(k, sum(chain.dimension for _, chain in chains))
+    return _package(
+        [(indices, *_lowest(chain, min(k, chain.dimension))) for indices, chain in chains], k
+    )
 
 
 def solve_hermitian(matrix: HermitianMatrix, k: int) -> list[EigenPair]:
     """k lowest eigenpairs of a Hermitian matrix."""
-    dim = matrix.dimension
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must be in [1, {dim}], got {k}")
-    values, vectors = scipy.linalg.eigh(matrix.data, subset_by_index=[0, k - 1])
-    return _to_pairs(values, vectors)
+    _check_k(k, matrix.dimension)
+    return _package([(None, *scipy.linalg.eigh(matrix.data, subset_by_index=[0, k - 1]))], k)
 
 
 def convergence_filter(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import time
 
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, settings
 
 from tprabi import RelativeComb, SubspaceLabel, SweepConfig, run_sweep
@@ -37,6 +38,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name, passed, detail in _ACCEPTANCE_LINES:
         verdict = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"{verdict}  {name}: {detail}")
+
+
+@pytest.fixture
+def damage_last_column(monkeypatch):
+    """damage(lapack, factor) patches scipy.linalg.<lapack> to scale the last
+    eigenvector column it returns by factor."""
+
+    def damage(lapack: str, factor: float) -> None:
+        solve = getattr(scipy.linalg, lapack)
+
+        def damaged(*args, **kwargs):
+            values, vectors = solve(*args, **kwargs)
+            vectors[:, -1] *= factor
+            return values, vectors
+
+        monkeypatch.setattr(scipy.linalg, lapack, damaged)
+
+    return damage
 
 
 COARSE_COMB = RelativeComb(steps=200, lo=0.0, hi=2.0)

@@ -667,3 +667,16 @@ def test_survey_unwritable_out_is_an_error_line(tmp_path, out):
     assert proc.returncode == 1 and proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tprabi-")]
+
+
+def test_refine_window_past_the_drop_keeps_the_coarse_estimate():
+    # two coarse steps hit 0.25 +- 0.25, and every point of the +-2% window
+    # has collapsed (the cutoff-64 drop is near 0.2356); the window's first
+    # point used to be printed as a refined estimate
+    proc = run_script("refine_critical.py", "--cutoff 64 --steps 2".split())
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        "coarse:  g_c ~= 0.25 +- 0.25",
+        "refined comb collapsed at its first point: the drop lies at or below the",
+        "window, and the coarse estimate stands",
+    ]

@@ -59,6 +59,14 @@ CASES = {
         + "spectrum --omega0 0.7 --omega 0.6 --g2 0.2995 --cutoff 1024 --subspace full".split(),
         False,
     ),
+    # omega0 = 0: the twin chains tie pair by pair (131 ties), and the odd
+    # cutoff gives chains of unequal length; pins the order of tied values
+    "spectrum_full_ties": (
+        TPRABI
+        + "spectrum --omega0 0 --omega 0.5 --g2 0.2 --cutoff 131 --count 262"
+        " --subspace full".split(),
+        False,
+    ),
     "modes_harmonic": (
         TPRABI
         + "modes --omega 0.5 --g2 0.1 --subspace q14+ --level 1 --cutoff 256"

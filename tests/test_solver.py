@@ -17,10 +17,12 @@ from tprabi import (
     solve_hermitian,
     solve_tridiagonal,
 )
-from tprabi.model import HermitianMatrix, TridiagonalMatrix
-from tprabi.solver import EigenPair, align_spectra, tail_norm_of
+from tprabi.model import HermitianMatrix, TridiagonalMatrix, full_fock_chains
+from tprabi.solver import EigenPair, align_spectra, solve_chains, tail_norm_of
 
 Q14P = SubspaceLabel(0.25, 1)
+# the one message every solver raises for a solved column that is not unit-norm
+BAD_COLUMN = r"eigenvector norms off 1 by .* or eigenvalues not finite$"
 
 # regression values frozen from two cutoffs (N=512, N=1024) agreeing to 1e-9
 FROZEN_512 = [
@@ -133,6 +135,23 @@ class TestEigenPair:
             for pair in solve_hermitian(h, 6):
                 residual = np.linalg.norm(dense @ pair.vector - pair.value * pair.vector)
                 assert residual <= 1e-8 * (1 + abs(pair.value))
+
+
+class TestBadColumn:
+    @pytest.mark.parametrize("damage", [1.5, np.nan])
+    def test_every_solver_raises_one_message(self, damage_last_column, damage):
+        params = ModelParams(1.0, 0.5, 0.2)
+        sector = build_subspace_tridiagonal(Q14P, params, 64)
+        chains = full_fock_chains(params, 64)
+        full = build_full_fock(params, 64)
+        for lapack in ("eigh_tridiagonal", "eigh"):
+            damage_last_column(lapack, damage)
+        with pytest.raises(ValueError, match=BAD_COLUMN):
+            solve_tridiagonal(sector, 10)
+        with pytest.raises(ValueError, match=BAD_COLUMN):
+            solve_chains(chains, 10)
+        with pytest.raises(ValueError, match=BAD_COLUMN):
+            solve_hermitian(full, 10)
 
 
 class TestTailNorm:

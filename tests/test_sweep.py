@@ -40,6 +40,8 @@ from tprabi.sweep import FAILURE_COUNT, CollapseEstimate, SweepResult, SweepRow
 
 Q14P = SubspaceLabel(0.25, 1)
 Q34P = SubspaceLabel(0.75, 1)
+# the one message every solver raises for a solved column that is not unit-norm
+BAD_COLUMN = r"eigenvector norms off 1 by .* or eigenvalues not finite$"
 SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
 
@@ -783,7 +785,7 @@ class TestFullChainSolve:
             assert np.array_equal(a.vector, b.vector)
 
     @pytest.mark.parametrize("damage", [1.5, np.nan])
-    def test_bad_column_outside_the_returned_pairs_raises(self, monkeypatch, damage):
+    def test_bad_column_outside_the_returned_pairs_raises(self, damage_last_column, damage):
         # every chain's last column lies above the 25 lowest values; a
         # column that is not unit-norm there still fails the solve, and a
         # sweep turns that into a failure row
@@ -796,16 +798,19 @@ class TestFullChainSolve:
         ]
         assert kept < min(last)
 
-        def damaged(*args, **kwargs):
-            values, vectors = lowest(*args, **kwargs)
-            vectors[:, -1] *= damage
-            return values, vectors
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", damaged)
-        with pytest.raises(ValueError):
+        damage_last_column("eigh_tridiagonal", damage)
+        with pytest.raises(ValueError, match=BAD_COLUMN):
             solve_point(params, FULL, 128, 25)
         config = SweepConfig((1.0,), (0.5,), (0.2,), (FULL,), 128)
         assert run_sweep(config).rows[0].converged_count == FAILURE_COUNT
+
+    @pytest.mark.parametrize("subspace", [Q14P, FULL], ids=["sector", "full"])
+    def test_bad_column_is_one_failure_row_for_sector_and_full(self, damage_last_column, subspace):
+        damage_last_column("eigh_tridiagonal", 1.5)
+        config = SweepConfig((1.0,), (0.5,), (0.2,), (subspace,), 128)
+        row = tprabi.sweep._solve_point(config, 1.0, 0.5, 0.2, subspace)
+        assert row.converged_count == FAILURE_COUNT
+        assert re.match(f"ValueError: {BAD_COLUMN}", row.error)
 
 
 class TestRefineIntegration:
