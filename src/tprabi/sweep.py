@@ -7,7 +7,7 @@ for the spectrum turning continuous. At omega0 = 0 both qubit branches of a
 Bargmann sector are the same matrix, so a sweep solves each such pair once.
 locate_collapse finds the same point by probing the comb from the analytic
 edge g_c = omega/2 instead of solving all of it. map_forked is the one fork
-path: large sweeps solve their distinct points through it in forked
+path: sweeps of 8 or more distinct solves run them through it in forked
 processes and get them back in grid order.
 """
 
@@ -45,7 +45,9 @@ from .solver import (
 )
 
 FAILURE_COUNT = -1  # converged_count marker for rows whose solve failed
-ROWS_PER_WORKER = 16  # a sweep forks one worker per this many distinct solves, up to the CPUs
+# a sweep forks one worker per this many distinct solves, up to the CPUs, so
+# from 8 solves on; a fork costs ~1 ms (break-even table: README, "Sweeps")
+ROWS_PER_WORKER = 4
 
 
 class GridPoint(NamedTuple):
@@ -256,7 +258,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     Rows are ordered lexicographically by (omega0, omega, g2, subspace).
     Points with equal _solve_key build the same matrix, so only the first of
     them is solved and its row is copied to the others. A sweep of at least
-    2 * ROWS_PER_WORKER distinct solves runs them in forked shares by
+    2 * ROWS_PER_WORKER (8) distinct solves runs them in forked shares by
     map_forked; the rows and their order are the serial ones.
     """
     points = _grid_points(config)

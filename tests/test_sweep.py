@@ -33,7 +33,7 @@ from tprabi import (
     solve_point,
     solve_tridiagonal,
 )
-from tprabi.cli import parse_sweep_config
+from tprabi.cli import _sweep_summary, parse_sweep_config, sweep_csv
 from tprabi.model import full_fock_chains
 from tprabi.solver import EigenPair, FilteredSpectrum, solve_chains
 from tprabi.sweep import FAILURE_COUNT, CollapseEstimate, SweepResult, SweepRow
@@ -641,16 +641,41 @@ class TestForkedSweep:
     @pytest.mark.parametrize(
         "config,cpus",
         [
-            (SweepConfig((1.0,), (0.5,), tuple(np.linspace(0.01, 0.31, 31)), (Q14P,), 64, 4), 3),
-            # 32 rows but 16 distinct solves: the twin branches at omega0 = 0 share one
-            (SweepConfig((0.0,), (0.5,), FORKING_CONFIG.coupling_spec, ALL_SUBSPACES, 64, 4), 3),
+            # one solve below the 2 * ROWS_PER_WORKER = 8 that fork
+            (SweepConfig((1.0,), (0.5,), tuple(np.linspace(0.01, 0.31, 7)), (Q14P,), 64, 4), 3),
+            # 12 rows but 6 distinct solves: the twin branches at omega0 = 0 share one
+            (SweepConfig((0.0,), (0.5,), (0.02, 0.1, 0.2), ALL_SUBSPACES, 64, 4), 3),
             (FORKING_CONFIG, 1),
         ],
-        ids=["31-rows", "16-solves", "one-cpu"],
+        ids=["7-solves", "6-solves-12-rows", "one-cpu"],
     )
     def test_small_sweeps_never_fork(self, monkeypatch, no_fork, config, cpus):
         monkeypatch.setattr(tprabi.sweep, "_available_cpus", lambda: cpus)
         assert len(run_sweep(config).rows) == len(grid_points(config))
+
+    def test_sweeps_fork_from_the_threshold(self, forks):
+        # 8 solves: the comb of 7 above plus one
+        assert 2 * tprabi.sweep.ROWS_PER_WORKER == 8
+        config = SweepConfig((1.0,), (0.5,), tuple(np.linspace(0.01, 0.31, 8)), (Q14P,), 64, 4)
+        rows = run_sweep(config).rows
+        assert len(forks) == 1  # two shares, although three CPUs are free
+        assert list(rows) == serial_rows(config)
+        assert_no_children()
+
+    def test_full_model_comb_forks_and_prints_the_serial_bytes(self, monkeypatch, forks):
+        # shaped like the benchmark's comb: 11 full-model points, one solve each;
+        # the child maps points 5-10, whose first keeps two bound states at
+        # omega0 = 5 while the rest keep none, so a misordered share shows
+        config = SweepConfig((5.0,), (0.5,), RelativeComb(10, 0, 2), (FULL,), 64)
+        monkeypatch.setattr(tprabi.sweep, "_available_cpus", lambda: 1)
+        serial = run_sweep(config)
+        assert forks == []
+        monkeypatch.setattr(tprabi.sweep, "_available_cpus", lambda: 2)
+        forked = run_sweep(config)
+        assert len(forks) == 1
+        assert sweep_csv(forked) == sweep_csv(serial)
+        assert _sweep_summary(forked) == _sweep_summary(serial)
+        assert_no_children()
 
     def test_no_fork_while_other_threads_run(self, no_fork):
         release = threading.Event()
