@@ -1,8 +1,8 @@
 """Two-stage estimate of the critical coupling: a coarse comb over [0, 2] g_c
-followed by a 200-point comb over a +-2% window around the first hit.
+followed by a 101-point comb over [c - step, c + step] around its hit c.
 
 Both stages search their comb with locate_collapse, which starts at the
-analytic edge g_c = omega/2: at cutoff 1024 the defaults take 2 + 4 solves.
+analytic edge g_c = omega/2: at cutoff 1024 the defaults take 2 + 2 solves.
 
     python scripts/refine_critical.py --omega0 1 --omega 0.5 --cutoff 1024
 """
@@ -48,19 +48,7 @@ def main(argv=None):
         return 1
     print(f"coarse:  g_c ~= {coarse.coupling:.8g} +- {coarse.step:.2g}")
 
-    fine = refine_comb(config, coarse.coupling)
-    refined = locate_collapse(fine, args.omega0, args.omega)
-    if not refined.found:
-        # counts that rise again past the coarse hit can leave the whole
-        # window uncollapsed; report the coarse hit
-        print("refined comb saw no count drop; the coarse estimate stands")
-        return 0
-    if refined.coupling == fine.coupling_spec[0]:
-        # a coarse step wider than the window can put it wholly past the
-        # drop: every point has collapsed and the first only bounds g_c above
-        print("refined comb collapsed at its first point: the drop lies at or below the")
-        print("window, and the coarse estimate stands")
-        return 0
+    refined = locate_collapse(refine_comb(config, coarse), args.omega0, args.omega)
     print(f"refined: g_c ~= {refined.coupling:.8g} +- {refined.step:.2g}")
     print(f"g_c/omega = {refined.coupling / args.omega:.6f} (0.5 expected)")
     return 0

@@ -525,13 +525,13 @@ def locate_collapse(
     return _estimate_at(couplings, hi)
 
 
-def refine_comb(config: SweepConfig, center: float) -> SweepConfig:
-    """Config with the coupling comb replaced by 200 homogeneous points
-    spanning [0.98, 1.02] times center."""
-    if not (np.isfinite(center) and center > 0):
-        raise ValueError(f"center must be finite and > 0, got {center}")
-    points = np.linspace(0.98 * center, 1.02 * center, 200)
-    return replace(config, coupling_spec=tuple(float(g) for g in points))
+def refine_comb(config: SweepConfig, estimate: CollapseEstimate) -> SweepConfig:
+    """Config whose comb is c + j * step / 50, j = -50 ... 50, for a coarse
+    estimate (c, step), less points below 0: c and c - step bracket the drop."""
+    if not all(x is not None and 0 < x < math.inf for x in (estimate.coupling, estimate.step)):
+        raise ValueError(f"estimate must be found with finite coupling, step > 0, got {estimate}")
+    points = (estimate.coupling + j * (estimate.step / 50) for j in range(-50, 51))
+    return replace(config, coupling_spec=tuple(float(g) for g in points if g >= 0))
 
 
 def exceptional_state(

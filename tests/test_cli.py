@@ -13,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tprabi.cli
-from tprabi import FULL, RelativeComb, SubspaceLabel, SweepConfig
+from tprabi import (
+    FULL,
+    RelativeComb,
+    SubspaceLabel,
+    SweepConfig,
+    detect_collapse,
+    refine_comb,
+    run_sweep,
+)
 from tprabi.cli import main, parse_sweep_config, serialize_sweep_config
 from tprabi.solver import FilteredSpectrum
 
@@ -620,16 +628,20 @@ def script_case_id(case):
     return f"{script.removesuffix('.py')}{flags.replace(' ', '=', 1).replace(' ', ',')}"
 
 
+def load_script(script):
+    spec = importlib.util.spec_from_file_location(script.removesuffix(".py"), SCRIPTS / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize(
     "script,flags,message", SCRIPT_USAGE_ERRORS, ids=map(script_case_id, SCRIPT_USAGE_ERRORS)
 )
 def test_study_script_usage_errors_exit_two(capsys, script, flags, message):
     # a value the library rejects used to escape as a ValueError traceback, exit 1
-    spec = importlib.util.spec_from_file_location(script.removesuffix(".py"), SCRIPTS / script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
     with pytest.raises(SystemExit) as excinfo:
-        module.main(flags.split())
+        load_script(script).main(flags.split())
     captured = capsys.readouterr()
     assert excinfo.value.code == 2 and captured.out == ""
     assert captured.err.startswith("usage: ")
@@ -669,14 +681,21 @@ def test_survey_unwritable_out_is_an_error_line(tmp_path, out):
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tprabi-")]
 
 
-def test_refine_window_past_the_drop_keeps_the_coarse_estimate():
-    # two coarse steps hit 0.25 +- 0.25, and every point of the +-2% window
-    # has collapsed (the cutoff-64 drop is near 0.2356); the window's first
-    # point used to be printed as a refined estimate
-    proc = run_script("refine_critical.py", "--cutoff 64 --steps 2".split())
+@pytest.mark.parametrize("steps", [2, 20])
+def test_refine_brackets_the_scanned_drop(steps):
+    # a coarse step wider than 2% of the hit used to put the whole refine
+    # window past the drop (near 0.2356 at cutoff 64), and the script then
+    # printed that the coarse estimate stands
+    argv = f"--cutoff 64 --steps {steps}".split()
+    _, config = load_script("refine_critical.py").parse_args(argv)
+    coarse = detect_collapse(run_sweep(config), 1.0, 0.5)
+    scanned = detect_collapse(run_sweep(refine_comb(config, coarse)), 1.0, 0.5)
+    # the refined bracket holds the drop, which a 2e-4 g_c comb puts in
+    # (0.2355, 0.23555]
+    assert scanned.coupling - scanned.step < 0.23552 < scanned.coupling
+    proc = run_script("refine_critical.py", argv)
     assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout.splitlines() == [
-        "coarse:  g_c ~= 0.25 +- 0.25",
-        "refined comb collapsed at its first point: the drop lies at or below the",
-        "window, and the coarse estimate stands",
+    assert proc.stdout.splitlines()[1:] == [
+        f"refined: g_c ~= {scanned.coupling:.8g} +- {scanned.step:.2g}",
+        f"g_c/omega = {scanned.coupling / 0.5:.6f} (0.5 expected)",
     ]

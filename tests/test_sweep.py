@@ -357,33 +357,62 @@ class TestLocateCollapse:
 
 
 class TestRefineComb:
-    @pytest.mark.parametrize("center", [0.25, 0.225])
-    def test_two_percent_window(self, center):
+    # coarse hits of the default [0, 2] g_c comb (201 points) and of a
+    # 9-point comb at omega = 0.45
+    @pytest.mark.parametrize(
+        "estimate",
+        [CollapseEstimate(0.25, 0.0025), CollapseEstimate(0.225, 0.05625)],
+        ids=["0.25", "0.225"],
+    )
+    def test_bracket_window(self, estimate):
         config = SweepConfig(
             (1.0,), (0.5,), RelativeComb(steps=10, lo=0.0, hi=2.0), (Q14P,), 64
         )
-        refined = refine_comb(config, center)
-        couplings = refined.couplings_for(0.5)
-        assert len(couplings) == 200
-        assert couplings[0] == pytest.approx(0.98 * center, rel=1e-15)
-        assert couplings[-1] == pytest.approx(1.02 * center, rel=1e-15)
+        c, step = estimate.coupling, estimate.step
+        couplings = refine_comb(config, estimate).couplings_for(0.5)
+        assert len(couplings) == 101
+        # the coarse hit itself, bit for bit, and the point before it
+        assert couplings[50] == c
+        assert abs(couplings[0] - (c - step)) <= np.spacing(c - step)
+        assert abs(couplings[-1] - (c + step)) <= np.spacing(c + step)
+        np.testing.assert_allclose(np.diff(couplings), step / 50, rtol=1e-9)
 
     def test_other_settings_preserved(self):
         config = SweepConfig((1.0,), (0.5,), (0.1,), (Q14P,), 128, tolerance=1e-8)
-        refined = refine_comb(config, 0.25)
+        refined = refine_comb(config, CollapseEstimate(0.25, 0.0025))
         assert refined.cutoff == 128 and refined.tolerance == 1e-8
+
+    def test_drops_points_below_zero(self):
+        # a hit at the first point of a comb that starts above 0, with the
+        # leading step: c - 16 * step / 50 is the last point at or above 0
+        config = SweepConfig((1.0,), (0.5,), (0.1,), (Q14P,), 64)
+        couplings = refine_comb(config, CollapseEstimate(0.01, 0.03)).couplings_for(0.5)
+        assert len(couplings) == 67 and couplings[16] == 0.01
+        assert couplings[0] == pytest.approx(0.0004) and min(couplings) >= 0
+
+    def test_rejects_estimate_not_found(self):
+        config = SweepConfig((1.0,), (0.5,), (0.1,), (Q14P,), 64)
+        with pytest.raises(ValueError, match="must be found"):
+            refine_comb(config, CollapseEstimate())
 
     def test_rejects_nonpositive_center(self):
         config = SweepConfig((1.0,), (0.5,), (0.1,), (Q14P,), 64)
-        with pytest.raises(ValueError):
-            refine_comb(config, 0.0)
+        for center in (0.0, -0.25):
+            with pytest.raises(ValueError, match="coupling, step > 0"):
+                refine_comb(config, CollapseEstimate(center, 0.0025))
 
     # a nan center used to give an all-nan comb
     @pytest.mark.parametrize("center", [np.nan, np.inf])
     def test_rejects_non_finite_center(self, center):
         config = SweepConfig((1.0,), (0.5,), (0.1,), (Q14P,), 64)
         with pytest.raises(ValueError, match="finite"):
-            refine_comb(config, center)
+            refine_comb(config, CollapseEstimate(center, 0.0025))
+
+    @pytest.mark.parametrize("step", [0.0, -0.0025, np.nan, np.inf])
+    def test_rejects_bad_step(self, step):
+        config = SweepConfig((1.0,), (0.5,), (0.1,), (Q14P,), 64)
+        with pytest.raises(ValueError, match="finite coupling, step > 0"):
+            refine_comb(config, CollapseEstimate(0.25, step))
 
 
 # 2 omega0 x 8 couplings x 3 subspaces = 48 rows: three shares of 16 at three
@@ -845,9 +874,7 @@ class TestRefineIntegration:
         )
         coarse = detect_collapse(run_sweep(config), 1.0, 0.5)
         assert coarse.found and coarse.coupling == pytest.approx(0.25)
-        refined = detect_collapse(
-            run_sweep(refine_comb(config, coarse.coupling)), 1.0, 0.5
-        )
+        refined = detect_collapse(run_sweep(refine_comb(config, coarse)), 1.0, 0.5)
         assert refined.found
         assert abs(refined.coupling - 0.25) < 2e-4
         assert refined.step < coarse.step
@@ -867,16 +894,16 @@ class TestRefineIntegration:
         coarse = locate_collapse(config, 1.0, 0.5)
         assert coarse.found and coarse.coupling == pytest.approx(0.25)
         assert coarse.step == pytest.approx(0.0625)
-        refined = locate_collapse(refine_comb(config, coarse.coupling), 1.0, 0.5)
+        refined = locate_collapse(refine_comb(config, coarse), 1.0, 0.5)
         assert refined.found
         assert abs(refined.coupling - 0.25) < 2e-4
         assert refined.step < coarse.step
-        # 9-point then 200-point comb: (2 + 3) + (2 + 8) solves at most
-        assert len(probes) <= 15
+        # 9-point then 101-point comb: (2 + 3) + (2 + 7) solves at most
+        assert len(probes) <= 14
 
     def test_refine_defaults_start_at_the_analytic_edge(self, monkeypatch):
-        # scripts/refine_critical.py's defaults: 201 then 200 points, both
-        # straddling g_c; the blind bisection took 10 + 10 solves
+        # scripts/refine_critical.py's defaults: 201 then 101 points, both
+        # straddling g_c; the blind bisection took 10 + 9 solves
         probes = []
         solve = tprabi.sweep._solve_point
 
@@ -890,9 +917,9 @@ class TestRefineIntegration:
         )
         coarse = locate_collapse(config, 1.0, 0.5)
         assert coarse.coupling == pytest.approx(0.25)
-        refined = locate_collapse(refine_comb(config, coarse.coupling), 1.0, 0.5)
+        refined = locate_collapse(refine_comb(config, coarse), 1.0, 0.5)
         assert abs(refined.coupling - 0.25) < 2e-4
-        assert len(probes) <= 6
+        assert len(probes) <= 4
 
 
 class TestCollapseRule:
