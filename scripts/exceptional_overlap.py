@@ -15,6 +15,7 @@ from tprabi import (
     solve_point,
     subspace_from_name,
 )
+from tprabi.model import _check_cutoff
 
 
 def parse_args(argv=None):
@@ -26,11 +27,9 @@ def parse_args(argv=None):
         "--cutoffs", type=int, nargs="+", default=[2**11, 2**12, 2**13]
     )
     args = parser.parse_args(argv)
-    # every model needs two ladder levels; checked here, not mid-table
-    for cutoff in args.cutoffs:
-        if cutoff < 2:
-            parser.error(f"cutoff {cutoff} too small, need at least 2")
     try:  # a value the model rejects is a usage error: exit 2
+        for cutoff in args.cutoffs:  # checked here, not mid-table
+            _check_cutoff(cutoff)
         label = subspace_from_name(args.subspace)
         at_gc = ModelParams(args.omega0, args.omega, critical_coupling(args.omega))
     except ValueError as exc:

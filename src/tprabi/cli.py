@@ -35,6 +35,7 @@ from .model import (
     ModelParams,
     Subspace,
     SubspaceLabel,
+    _check_cutoff,
     build_full_fock,
     build_phase_space,
     build_rotated_fock,
@@ -44,6 +45,7 @@ from .solver import (
     DEFAULT_TAIL_FRACTION,
     DEFAULT_TOLERANCE,
     align_spectra,
+    check_filter_settings,
     convergence_filter,
     solve_hermitian,
 )
@@ -240,20 +242,16 @@ def serialize_sweep_config(config: SweepConfig) -> str:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    try:
+    try:  # each input checked by its owner; a ValueError of the solve exits 1
         params = ModelParams(args.omega0, args.omega, args.g2)
+        subspace = subspace_from_name(args.subspace)
         if args.count < 1:
             raise ValueError(f"count must be >= 1, got {args.count}")
-        filtered = solve_point(
-            params,
-            subspace_from_name(args.subspace),
-            args.cutoff,
-            args.count,
-            args.tail_fraction,
-            args.tol,
-        )
+        _check_cutoff(args.cutoff)
+        check_filter_settings(args.tail_fraction, args.tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    filtered = solve_point(params, subspace, args.cutoff, args.count, args.tail_fraction, args.tol)
 
     rows = (
         [str(index), _fmt(pair.value), _fmt(tail), str(int(ok))]
@@ -344,17 +342,14 @@ def _oracle_alignment(cutoff: int, point: tuple[float, float, float]) -> float:
 
 
 def _oracle_degenerate(cutoff: int) -> float:
+    # run_sweep solves each pair of twin branches once (6 solves)
+    config = SweepConfig((0.0,), (0.45,), (0.0, 0.1, 0.2), ALL_SUBSPACES, 8 * cutoff, 12)
     worst = 0.0
-    for g2 in (0.0, 0.1, 0.2):
-        params = ModelParams(0.0, 0.45, g2)
-        # at omega0 = 0 both branches of a Bargmann sector are the same
-        # matrix, and the closed form reads only bargmann_q: one branch each
-        for label in (s for s in ALL_SUBSPACES if s.branch == 1):
-            values = solve_point(params, label, 8 * cutoff, 12).converged_values[:5]
-            if len(values) < 5:
-                return float("inf")
-            exact = degenerate_spectrum(params, label, 5)
-            worst = max(worst, float(np.max(np.abs(values - exact) / exact)))
+    for row in run_sweep(config).rows:
+        if len(row.energies) < 5:  # a failed solve has no energies
+            return float("inf")
+        exact = degenerate_spectrum(ModelParams(row.omega0, row.omega, row.g2), row.subspace, 5)
+        worst = max(worst, float(np.max(np.abs(row.energies[:5] - exact) / exact)))
     return worst
 
 
@@ -433,7 +428,7 @@ def _closed_form_and_numeric(
 
 
 def cmd_modes(args: argparse.Namespace) -> int:
-    try:
+    try:  # as in cmd_spectrum, inputs first, then the solve
         params = ModelParams(0.0, args.omega, args.g2)
         label = subspace_from_name(args.subspace)
         if args.level < 0:
@@ -444,11 +439,12 @@ def cmd_modes(args: argparse.Namespace) -> int:
             raise ValueError("need points >= 2 and xmax > xmin")
         if args.level + 1 > args.cutoff:
             raise ValueError(f"level {args.level} needs cutoff > {args.level}")
-        x = np.linspace(args.xmin, args.xmax, args.points)
-        exact, numeric = _closed_form_and_numeric(params, label, args.cutoff, args.level, x)
+        _check_cutoff(args.cutoff)
+        classify_regime(params)  # omega > 0
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
+    x = np.linspace(args.xmin, args.xmax, args.points)
+    exact, numeric = _closed_form_and_numeric(params, label, args.cutoff, args.level, x)
     exact, numeric = exact.astype(complex), numeric.astype(complex)
     rows = (
         [_fmt(xi), _fmt(e.real), _fmt(e.imag), _fmt(n.real), _fmt(n.imag), _fmt(abs(e - n))]
@@ -521,7 +517,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SpectralCollapseError, OSError, ValueError, np.linalg.LinAlgError) as exc:
+    except (SpectralCollapseError, OSError, ValueError) as exc:  # numpy's LAPACK errors too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

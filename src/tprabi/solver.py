@@ -75,6 +75,14 @@ class Alignment(NamedTuple):
     residual: float
 
 
+def check_filter_settings(tail_fraction: float, tolerance: float = DEFAULT_TOLERANCE) -> None:
+    """The filter's rules: tail_fraction in (0, 1), tolerance finite and > 0."""
+    if not 0 < tail_fraction < 1:
+        raise ValueError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+
+
 def tail_norm_of(
     vector: np.ndarray, tail_fraction: float = DEFAULT_TAIL_FRACTION, qubit_dim: int = 1
 ) -> float:
@@ -83,8 +91,7 @@ def tail_norm_of(
     For qubit-tensored vectors in interleaved ordering the tail spans those
     Fock levels across every qubit component.
     """
-    if not 0 < tail_fraction < 1:
-        raise ValueError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
+    check_filter_settings(tail_fraction)
     fock_len = len(vector) // qubit_dim
     take = math.ceil(tail_fraction * fock_len) * qubit_dim
     if take <= 0 or take > len(vector):
@@ -169,10 +176,7 @@ def convergence_filter(
     amplitudes of its vector is below tolerance; ties in value are ordered
     by tail norm.
     """
-    if not 0 < tail_fraction < 1:
-        raise ValueError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+    check_filter_settings(tail_fraction, tolerance)
     tails = np.array([tail_norm_of(p.vector, tail_fraction, qubit_dim) for p in pairs])
     order = np.lexsort((tails, [p.value for p in pairs]))
     return FilteredSpectrum(tuple(pairs[i] for i in order), tails[order], tolerance)

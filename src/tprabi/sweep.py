@@ -39,6 +39,7 @@ from .solver import (
     DEFAULT_TOLERANCE,
     EigenPair,
     FilteredSpectrum,
+    check_filter_settings,
     convergence_filter,
     solve_chains,
     solve_tridiagonal,
@@ -79,8 +80,8 @@ class RelativeComb:
             raise ValueError(f"need 0 <= lo < hi finite, got [{self.lo}, {self.hi}]")
 
     def couplings(self, omega: float) -> np.ndarray:
-        gc = critical_coupling(omega)
-        return np.linspace(self.lo * gc, self.hi * gc, self.steps + 1)
+        # scaled after linspace, the unit comb's 1.0 lands on g_c exactly
+        return critical_coupling(omega) * np.linspace(self.lo, self.hi, self.steps + 1)
 
 
 @dataclass(frozen=True)
@@ -139,10 +140,7 @@ class SweepConfig:
             raise ValueError(
                 f"requested_eigenpairs must be >= 2, got {self.requested_eigenpairs}"
             )
-        if not 0 < self.tail_fraction < 1:
-            raise ValueError(f"tail_fraction must be in (0, 1), got {self.tail_fraction}")
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        check_filter_settings(self.tail_fraction, self.tolerance)
 
     def couplings_for(self, omega: float) -> np.ndarray:
         if isinstance(self.coupling_spec, RelativeComb):
@@ -245,7 +243,7 @@ def _solve_point(
             config.tail_fraction,
             config.tolerance,
         )
-    except (ValueError, np.linalg.LinAlgError) as exc:  # numerical failures become rows
+    except ValueError as exc:  # numerical failures, LAPACK's too, become rows
         error = f"{type(exc).__name__}: {exc}"
         return SweepRow(omega0, omega, g2, subspace, (), error)
     energies = tuple(float(v) for v in filtered.converged_values)

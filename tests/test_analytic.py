@@ -107,6 +107,10 @@ class TestDegenerateSpectrum:
         Omega = regime_at(omega, g2).Omega
         assert np.max(np.abs(np.diff(values) - 2 * Omega)) < 1e-12
 
+    def test_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+            degenerate_energies(1.0, 1.0, 0.25, 0)
+
     @given(st.floats(0.1, 2.0), st.floats(0.1, 2.0))
     def test_swap_symmetry(self, a_plus, a_minus):
         # the Fourier-like rotation p <-> q swaps the alphas, Omega unchanged
@@ -146,6 +150,10 @@ class TestHermiteGauss:
     def test_rejected_outside_harmonic(self):
         with pytest.raises(SpectralCollapseError):
             hermite_gauss(0, regime_at(0.5, 0.25), [0.0])
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError, match="level must be >= 0, got -1"):
+            hermite_gauss(-1, regime_at(0.5, 0.1), [0.0])
 
     def test_high_level_stays_finite(self):
         data = regime_at(1.0, 0.0)
@@ -213,6 +221,8 @@ class TestKummer:
             kummer_1f1(1.0, 0.0, 0.1)
         with pytest.raises(ValueError):
             kummer_1f1(1.0, -2.0, 0.1)
+        with pytest.raises(ValueError, match="arguments must be finite"):
+            kummer_1f1(1.0, 0.5, math.nan)
         with pytest.raises(ValueError):
             kummer_1f1(1.0, 0.5, 51.0)
 
@@ -311,6 +321,10 @@ class TestFockToPosition:
             fock_to_position(np.array([0.5, 0.5]), [0.0])
         with pytest.raises(ValueError):
             fock_to_position(np.array([1.0]), [])
+        with pytest.raises(ValueError, match="coefficients must be a non-empty vector"):
+            fock_to_position(np.array([]), [0.0])
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            fock_to_position(np.array([1.0, np.nan]), [0.0])
 
     def test_numeric_ground_state_matches_analytic_mode(self):
         x = np.linspace(-10, 10, 2001)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tprabi.cli
+import tprabi.sweep
 from tprabi import (
     FULL,
     RelativeComb,
@@ -122,6 +123,26 @@ class TestSpectrumCommand:
         )
         assert code == 2 and out == ""
         assert err == f"error: tail_fraction must be in (0, 1), got {float(fraction)}\n"
+
+    def test_count_below_one_exits_two(self, capsys):
+        code, out, err = run_cli(
+            "spectrum --omega0 0 --omega 1 --g2 0 --cutoff 64"
+            " --subspace q14+ --count 0".split(),
+            capsys,
+        )
+        assert (code, out, err) == (2, "", "error: count must be >= 1, got 0\n")
+
+    @pytest.mark.parametrize("subspace", ["q14+", "full"])
+    def test_failed_solve_exits_one(self, damage_last_column, capsys, subspace):
+        # the solve's ValueError used to be reported as a usage error, exit 2
+        damage_last_column("eigh_tridiagonal", 1.5)
+        code, out, err = run_cli(
+            "spectrum --omega0 1 --omega 0.5 --g2 0.1 --cutoff 64"
+            f" --subspace {subspace}".split(),
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: eigenvector norms off 1 by ")
 
     def test_unwritable_destination_exits_nonzero(self, tmp_path, capsys):
         missing = tmp_path / "no-such-dir" / "out.csv"
@@ -288,6 +309,15 @@ class TestSweepCommand:
         code, _, err = run_cli(["sweep", str(config)], capsys)
         assert code == 2 and "cutoff" in err
 
+    def test_empty_grid_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "survey.cfg"
+        config.write_text(GOOD_CONFIG.replace("omega = 0.5", "omega = grid(0.4, 0.5, 0)"))
+        code, out, err = run_cli(["sweep", str(config)], capsys)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: grid count must be >= 1, got 0 (line 3: 'omega = grid(0.4, 0.5, 0)')\n"
+        )
+
     def test_relative_comb_at_zero_omega_exits_two(self, tmp_path, capsys):
         config = tmp_path / "survey.cfg"
         config.write_text(GOOD_CONFIG.replace("omega = 0.5", "omega = 0"))
@@ -405,6 +435,18 @@ class TestOutFileMode:
         assert sorted(os.listdir(tmp_path)) == before and os.listdir(out) == []
 
     @pytest.mark.parametrize("command", ["spectrum", "sweep"])
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", src)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(self.argv(tmp_path, command, out), capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"error: [Errno 13] Permission denied: {str(out)!r}\n"
+        assert os.listdir(tmp_path) == ["survey.cfg"]
+
+    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
     def test_missing_directory_names_the_given_path(self, tmp_path, capsys, command):
         # the error used to name the temp file, nodir/.tprabi-XXXXXXXX.tmp
         out = os.path.join(os.path.relpath(tmp_path), "nodir", "x.csv")
@@ -462,7 +504,8 @@ class TestOracleCommand:
             spectrum = real_solve_point(*args)
             return FilteredSpectrum(spectrum.pairs[:4], spectrum.tails[:4], spectrum.tolerance)
 
-        monkeypatch.setattr(tprabi.cli, "solve_point", four_pairs)
+        # the degenerate check solves through run_sweep, and so through sweep's name
+        monkeypatch.setattr(tprabi.sweep, "solve_point", four_pairs)
         code, out, _ = run_cli(["oracle", "--cutoff", "32", "--seed", "7"], capsys)
         assert code == 1
         assert (
@@ -566,6 +609,33 @@ class TestModesCommand:
         )
         assert code == 1
         assert "regime III closed forms out of scope" in err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            ("--level -1", "level must be >= 0, got -1"),
+            ("--points 1", "need points >= 2 and xmax > xmin"),
+            ("--xmin 1 --xmax 1", "need points >= 2 and xmax > xmin"),
+            ("--level 64 --cutoff 64", "level 64 needs cutoff > 64"),
+            ("--omega 0", "omega must be > 0, got 0.0"),
+        ],
+        ids=["level", "points", "xmax", "level-cutoff", "omega"],
+    )
+    def test_bad_flags_exit_two(self, capsys, flags, message):
+        code, out, err = run_cli(
+            "modes --omega 0.5 --g2 0.1 --subspace q14+ --cutoff 128".split() + flags.split(),
+            capsys,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_failed_solve_exits_one(self, damage_last_column, capsys):
+        # the solve's ValueError used to be reported as a usage error, exit 2
+        damage_last_column("eigh_tridiagonal", 1.5)
+        code, out, err = run_cli(
+            "modes --omega 0.5 --g2 0.1 --subspace q14+ --cutoff 128".split(), capsys
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: eigenvector norms off 1 by ")
 
     def test_omega0_is_not_a_modes_flag(self):
         # the closed forms hold for a degenerate qubit only, so modes has no --omega0

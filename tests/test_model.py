@@ -94,10 +94,14 @@ class TestStorageTypes:
             TridiagonalMatrix(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             TridiagonalMatrix(np.array([1.0, np.inf]), np.zeros(1))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            TridiagonalMatrix(np.zeros((2, 2)), np.zeros(1))
 
     def test_dense_must_be_hermitian(self):
         with pytest.raises(ValueError):
             HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            HermitianMatrix([[np.nan]])
 
     @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
     def test_dense_must_be_square(self, shape):

@@ -24,6 +24,7 @@ from tprabi import (
     build_full_fock,
     build_subspace_tridiagonal,
     convergence_filter,
+    critical_coupling,
     detect_collapse,
     exceptional_state,
     locate_collapse,
@@ -65,7 +66,15 @@ class TestRelativeComb:
         assert couplings[0] == 0.0
         assert couplings[-1] == pytest.approx(0.45, rel=1e-15)
         # the critical coupling itself lands on the comb
-        assert couplings[100] == pytest.approx(0.225, rel=1e-12)
+        assert couplings[100] == critical_coupling(0.45)
+
+    @pytest.mark.parametrize("steps", [200, 50])
+    def test_critical_point_is_exact(self, steps):
+        # linspace(0, 2 g_c, n) put it one ulp below omega / 2 for 0.4247 and
+        # for 349 of the 2000 drawn omegas
+        omegas = [0.4247, *np.round(np.random.default_rng(0).uniform(0.3, 1.0, 2000), 4)]
+        comb = RelativeComb(steps=steps, lo=0.0, hi=2.0)
+        assert [w for w in omegas if comb.couplings(w)[steps // 2] != critical_coupling(w)] == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
