@@ -53,8 +53,7 @@ def classify_regime(params: ModelParams) -> RegimeData:
 
     alpha_minus = 0 exactly is the free particle, whose Omega is 0.
     """
-    if params.omega <= 0:
-        raise ValueError(f"omega must be > 0, got {params.omega}")
+    critical_coupling(params.omega)  # rejects omega <= 0
     alpha_plus = params.omega + 2.0 * params.g2
     alpha_minus = params.omega - 2.0 * params.g2
     if alpha_minus == 0:

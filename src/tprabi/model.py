@@ -170,12 +170,6 @@ def _check_cutoff(cutoff: int) -> None:
         raise ValueError(f"cutoff {cutoff} too small, need at least 2")
 
 
-def _hermitian(lower: np.ndarray) -> HermitianMatrix:
-    """The Hermitian matrix whose lower triangle is lower's; the upper
-    triangle is the conjugate of the lower."""
-    return HermitianMatrix(lower + np.triu(lower.conj().T, 1))
-
-
 def _quadrature_bands(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and second off-diagonal of q^2 truncated elementwise.
 
@@ -188,6 +182,23 @@ def _quadrature_bands(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return diag, off2
 
 
+def _assemble(up, down, cross=0.0, same=(0.0, 0.0), flip=(0.0, 0.0)) -> HermitianMatrix:
+    """Hermitian matrix over |n, s> at index 2n + s (s = 0 up, 1 down) from its
+    bands (arrays or scalars): the diagonals <n, s|H|n, s>, the cross term
+    <n, down|H|n, up>, same = <m+2, s|H|m, s> and flip = <m+2, 1-s|H|m, s>
+    for s = up, down. They fill the lower triangle; the upper is its conjugate."""
+    N = len(up)
+    h = np.zeros((2 * N, 2 * N), dtype=np.result_type(float, cross))
+    i = 2 * np.arange(N)  # |n, up> sits at 2n, |n, down> at 2n + 1
+    lo = i[: N - 2]  # |m, up> for every m whose m + 2 is in the basis
+    h[i, i] = up
+    h[i + 1, i + 1] = down
+    h[i + 1, i] = cross
+    h[lo + 4, lo], h[lo + 5, lo + 1] = same
+    h[lo + 5, lo], h[lo + 4, lo + 1] = flip
+    return HermitianMatrix(h + np.triu(h.conj().T, 1))
+
+
 def build_full_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
     """Full model in the interleaved |n> (x) |up/down> product basis.
 
@@ -195,18 +206,10 @@ def build_full_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
     g2*sqrt((n+1)(n+2)) between |n, s> and |n+2, flip(s)>.
     """
     _check_cutoff(cutoff)
-    N = cutoff
-    h = np.zeros((2 * N, 2 * N))
-    n = np.arange(N, dtype=float)
-    up = 2 * np.arange(N)  # |n, up> sits at 2n, |n, down> at 2n + 1
-    lo = up[: N - 2]  # |m, up> for every m whose m + 2 is in the basis
-    h[up, up] = params.omega * n + params.omega0 / 2.0
-    h[up + 1, up + 1] = params.omega * n - params.omega0 / 2.0
-    m = np.arange(N - 2, dtype=float)
-    pair = params.g2 * np.sqrt((m + 1.0) * (m + 2.0))
-    h[lo + 5, lo] = pair  # <m+2, down|H|m, up>
-    h[lo + 4, lo + 1] = pair  # <m+2, up|H|m, down>
-    return _hermitian(h)
+    n = np.arange(cutoff, dtype=float)
+    boson, half = params.omega * n, params.omega0 / 2.0
+    pair = params.g2 * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+    return _assemble(boson + half, boson - half, flip=(pair, pair))
 
 
 def full_fock_chains(params: ModelParams, cutoff: int) -> list[Chain]:
@@ -233,18 +236,11 @@ def build_phase_space(params: ModelParams, cutoff: int) -> HermitianMatrix:
     swapped, and (omega0/2) sigma_x across the qubit.
     """
     _check_cutoff(cutoff)
-    N = cutoff
-    diag, off2 = _quadrature_bands(N)
-    h = np.zeros((2 * N, 2 * N))
-    up = 2 * np.arange(N)
-    lo = up[: N - 2]
+    diag, off2 = _quadrature_bands(cutoff)
     # (alpha_+ + alpha_-)/2 = omega for both spin blocks on the diagonal
-    h[up, up] = params.omega * diag
-    h[up + 1, up + 1] = params.omega * diag
-    h[up + 1, up] = params.omega0 / 2.0
-    h[lo + 4, lo] = -2.0 * params.g2 * off2
-    h[lo + 5, lo + 1] = 2.0 * params.g2 * off2
-    return _hermitian(h)
+    boson = params.omega * diag
+    same = (-2.0 * params.g2 * off2, 2.0 * params.g2 * off2)
+    return _assemble(boson, boson, params.omega0 / 2.0, same)
 
 
 def build_rotated_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
@@ -253,21 +249,13 @@ def build_rotated_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
     phases exp(-i pi (n + 1/2) / 2).
     """
     _check_cutoff(cutoff)
-    N = cutoff
-    diag, off2 = _quadrature_bands(N)
-    h = np.zeros((2 * N, 2 * N), dtype=complex)
-    up = 2 * np.arange(N)
-    lo = up[: N - 2]
-    h[up, up] = params.omega * diag
-    h[up + 1, up + 1] = params.omega * diag
-    h[lo + 4, lo] = -2.0 * params.g2 * off2
-    h[lo + 5, lo + 1] = -2.0 * params.g2 * off2
-    n = np.arange(N, dtype=float)
-    phases = np.exp(-1j * np.pi * (n + 0.5) / 2.0)
-    # upper block <2n|H|2n+1> = (omega0/2) * phase; the lower triangle
-    # carries its conjugate
-    h[up + 1, up] = (params.omega0 / 2.0) * np.conj(phases)
-    return _hermitian(h)
+    diag, off2 = _quadrature_bands(cutoff)
+    boson = params.omega * diag
+    pair = -2.0 * params.g2 * off2
+    # <n, up|H|n, down> = (omega0/2) exp(-i pi diag / 2) with diag = n + 1/2;
+    # the cross term <n, down|H|n, up> is its conjugate
+    cross = (params.omega0 / 2.0) * np.conj(np.exp(-1j * np.pi * diag / 2.0))
+    return _assemble(boson, boson, cross, (pair, pair))
 
 
 def build_subspace_tridiagonal(

@@ -1,5 +1,6 @@
 """Hamiltonian builders: matrix elements, symmetry, and equivalences."""
 
+import functools
 import pickle
 
 import numpy as np
@@ -312,14 +313,48 @@ def elementwise_reference(builder, params, cutoff):
 
 class TestBuilderInvariants:
     @pytest.mark.parametrize("builder", [build_full_fock, build_phase_space, build_rotated_fock])
-    @pytest.mark.parametrize("cutoff", [2, 3, 5, 64])
+    @pytest.mark.parametrize("cutoff", [2, 3, 5, 64, 7])
     @pytest.mark.parametrize(
-        "point", [(1.0, 0.5, 0.2), (0.0, 0.45, 0.1), (1.0, 0.5, 0.0), (2.1, 1.0, 0.49)]
+        "point",
+        [(1.0, 0.5, 0.2), (0.0, 0.45, 0.1), (1.0, 0.5, 0.0), (2.1, 1.0, 0.49), (0.0, 0.5, 0.0)],
     )
     def test_matches_elementwise_definition(self, builder, cutoff, point):
+        # every entry and the dtype: float for the Fock and phase-space
+        # forms, complex for the rotated form's phases
         params = ModelParams(*point)
         expected = elementwise_reference(builder, params, cutoff)
-        assert np.array_equal(builder(params, cutoff).data, expected)
+        data = builder(params, cutoff).data
+        assert data.dtype == expected.dtype
+        assert np.array_equal(data, expected)
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            build_full_fock,
+            build_phase_space,
+            build_rotated_fock,
+            functools.partial(build_subspace_tridiagonal, SubspaceLabel(0.75, -1)),
+            full_fock_chains,
+        ],
+        ids=["full", "phase", "rotated", "sector", "chains"],
+    )
+    @pytest.mark.parametrize(
+        "cutoff,message",
+        [
+            (1, "cutoff 1 too small, need at least 2"),
+            (0, "cutoff 0 too small, need at least 2"),
+            (-3, "cutoff -3 too small, need at least 2"),
+            (2.0, "cutoff must be an integer, got 2.0"),
+            (True, "cutoff must be an integer, got True"),
+            ("x", "cutoff must be an integer, got 'x'"),
+        ],
+    )
+    def test_bad_cutoff_rejected_before_build(self, builder, cutoff, message):
+        # the cutoff check runs first, so no numpy error from sizing an
+        # array by a bad cutoff gets ahead of it
+        with pytest.raises(ValueError) as caught:
+            builder(ModelParams(1.0, 1.0, 0.1), cutoff)
+        assert str(caught.value) == message
 
     @given(params_st, st.integers(2, 40))
     def test_exact_hermiticity(self, params, cutoff):
