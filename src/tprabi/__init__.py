@@ -36,6 +36,7 @@ from .sweep import (
     detect_collapse,
     exceptional_state,
     locate_collapse,
+    refine_collapse,
     refine_comb,
     run_sweep,
     solve_point,
@@ -65,6 +66,7 @@ __all__ = [
     "hermite_gauss",
     "locate_collapse",
     "plane_wave",
+    "refine_collapse",
     "refine_comb",
     "run_sweep",
     "solve_hermitian",

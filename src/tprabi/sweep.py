@@ -6,8 +6,9 @@ the converged-state count dropping to at most one, a truncated-basis proxy
 for the spectrum turning continuous. At omega0 = 0 both qubit branches of a
 Bargmann sector are the same matrix, so a sweep solves each such pair once.
 locate_collapse finds the same point by probing the comb from the analytic
-edge g_c = omega/2 instead of solving all of it. map_forked is the one fork
-path: sweeps of 8 or more distinct solves run them through it in forked
+edge g_c = omega/2 instead of solving all of it; refine_collapse probes a
+coarse comb, then its refine comb, solving no point twice. map_forked is the
+one fork path: sweeps of 8 or more distinct solves run them in forked
 processes and get them back in grid order.
 """
 
@@ -457,34 +458,56 @@ def locate_collapse(
     """detect_collapse(run_sweep(config), omega0, omega, subspace), found by
     probing comb indices from the analytic edge instead of solving every point.
 
-    Each probe is one _solve_point call, cached for the call's lifetime. The
-    search keeps lo uncollapsed and hi collapsed until they are adjacent,
-    starting from the virtual bracket lo = -1 (before the comb), hi = n (past
-    it). Its first probe is the analytic edge, the first point at or above
-    critical_coupling(omega), when that lies past the first comb point; from
-    there it gallops away from the verdict (1, 3, 7, ... points down from a
-    collapsed probe, up from an uncollapsed one), then bisects what is left.
-    A comb that does not straddle g_c is probed at both ends first, then at
-    midpoints. Every probe is clamped so that the bracket it leaves still
-    closes by bisection within the remaining budget: the search of an n-point
-    comb never takes more than 2 + ceil(log2(n - 1)) solves (10 for 201
-    points), and about two when the comb's edge sits at g_c. It falls back to
-    the plain first-hit scan, reusing the probed rows, when a probe fails,
-    when the last point has not collapsed, or when the probed counts, read in
-    coupling order, ever rise.
+    Each probe is one _solve_point call, its row kept in a store for the call's
+    lifetime (refine_collapse's two stages share one). The search keeps lo
+    uncollapsed and hi collapsed until they are adjacent, starting from the
+    virtual bracket lo = -1 (before the comb), hi = n (past it). Its first probe
+    is the analytic edge, the first point at or above critical_coupling(omega),
+    when that lies past the first comb point; from there it gallops away from
+    the verdict (1, 3, 7, ... points down from a collapsed probe, up from an
+    uncollapsed one), then bisects what is left. A comb that does not straddle
+    g_c is probed at both ends first, then at midpoints. Every probe is clamped
+    so that the bracket it leaves still closes by bisection within the remaining
+    budget: the search of an n-point comb never takes more than
+    2 + ceil(log2(n - 1)) probes (10 for 201 points), and about two when the
+    comb's edge sits at g_c. It falls back to the plain first-hit scan, reusing
+    the probed rows, when a probe fails, when the last point has not collapsed,
+    or when the probed counts, read in coupling order, ever rise.
 
     The answer equals the scan's whenever converged counts never rise along
     the comb (failed rows aside), as on every shipped config. A dip below two
     that no probe lands on cannot be seen: with counts 25, 0, 25, 25, 0 the
     scan reports the second point and this search the last.
     """
+    return _search(config, omega0, omega, subspace, {})
+
+
+def refine_collapse(
+    config: SweepConfig, omega0: float, omega: float, subspace: Optional[Subspace] = None
+) -> tuple[CollapseEstimate, CollapseEstimate]:
+    """(coarse, refined): locate_collapse on config, then, if coarse is found, on
+    refine_comb(config, coarse). One row store keyed by _solve_key serves both
+    stages, so no point is solved twice; the refine comb holds c bit for bit."""
+    store: dict[tuple, SweepRow] = {}
+    coarse = _search(config, omega0, omega, subspace, store)
+    if not coarse.found:
+        return coarse, CollapseEstimate()
+    return coarse, _search(refine_comb(config, coarse), omega0, omega, subspace, store)
+
+
+def _search(
+    config: SweepConfig, omega0: float, omega: float, subspace: Optional[Subspace], store: dict
+) -> CollapseEstimate:
+    """locate_collapse, solving a probe only when store lacks its _solve_key."""
     points, couplings = _comb_slice(config, _grid_points(config), omega0, omega, subspace)
     n = len(couplings)
     probed: dict[int, SweepRow] = {}
 
     def row(i: int) -> SweepRow:
-        if i not in probed:
-            probed[i] = _solve_point(config, *points[i])
+        key = _solve_key(points[i])
+        if key not in store:
+            store[key] = _solve_point(config, *points[i])
+        probed[i] = store[key]
         return probed[i]
 
     def scan() -> CollapseEstimate:

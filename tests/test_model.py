@@ -132,10 +132,6 @@ class TestFullFock:
         up, flipped = 2 * n, 2 * (n + 2) + 1
         assert h[flipped, up] == pytest.approx(0.2 * np.sqrt(4 * 5), abs=1e-15)
 
-    def test_cutoff_minimum(self):
-        with pytest.raises(ValueError):
-            build_full_fock(ModelParams(1.0, 1.0, 0.1), 1)
-
     def test_at_scale_truncates_to_smaller_build(self):
         params = ModelParams(1.0, 0.5, 0.2)
         big = build_full_fock(params, 512)
@@ -178,10 +174,6 @@ class TestFullFockChains:
             np.testing.assert_allclose(
                 chain.diag, sector.diag - params.omega / 2, rtol=1e-15, atol=0
             )
-
-    def test_cutoff_minimum(self):
-        with pytest.raises(ValueError):
-            full_fock_chains(ModelParams(1.0, 1.0, 0.1), 1)
 
 
 class TestPhaseSpace:

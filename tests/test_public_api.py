@@ -39,6 +39,7 @@ PUBLIC = {
         "detect_collapse",
         "exceptional_state",
         "locate_collapse",
+        "refine_collapse",
         "refine_comb",
         "run_sweep",
         "solve_point",
@@ -75,7 +76,7 @@ MODULE_ONLY = {
 
 def test_root_exports_exactly_the_public_names():
     public = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(public) == 27
+    assert len(public) == 28
     assert sorted(tprabi.__all__) == sorted([*public, "__version__"])
     for module, names in PUBLIC.items():
         home = importlib.import_module(f"tprabi.{module}")

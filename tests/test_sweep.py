@@ -28,6 +28,7 @@ from tprabi import (
     detect_collapse,
     exceptional_state,
     locate_collapse,
+    refine_collapse,
     refine_comb,
     run_sweep,
     solve_hermitian,
@@ -385,6 +386,23 @@ class TestRefineComb:
         assert abs(couplings[0] - (c - step)) <= np.spacing(c - step)
         assert abs(couplings[-1] - (c + step)) <= np.spacing(c + step)
         np.testing.assert_allclose(np.diff(couplings), step / 50, rtol=1e-9)
+
+    def test_first_point_is_the_coarse_point_before_a_hit_at_g_c(self):
+        # refine_collapse reuses the coarse rows of both bracket ends: c sits
+        # at the middle bit for bit (test_bracket_window), and for a hit at
+        # g_c on a [0, 2] comb the first point is the coarse c - step point
+        # bit for bit. Off g_c it can miss by an ulp (an 8-step comb's hit
+        # below g_c, for ~5% of drawn omega); that point is then solved anew.
+        rng = np.random.default_rng(26)
+        for steps in (8, 50, 200):
+            for omega in rng.uniform(1e-3, 10, 1000):
+                config = SweepConfig(
+                    (1.0,), (omega,), RelativeComb(steps, 0.0, 2.0), (Q14P,), 64
+                )
+                couplings = [float(g) for g in config.couplings_for(omega)]
+                before, c = couplings[steps // 2 - 1 : steps // 2 + 1]
+                fine = refine_comb(config, CollapseEstimate(c, c - before)).coupling_spec
+                assert (fine[0], fine[50]) == (before, c), (steps, omega)
 
     def test_other_settings_preserved(self):
         config = SweepConfig((1.0,), (0.5,), (0.1,), (Q14P,), 128, tolerance=1e-8)
@@ -876,6 +894,20 @@ class TestFullChainSolve:
         assert re.match(f"ValueError: {BAD_COLUMN}", row.error)
 
 
+def counted_solves(monkeypatch):
+    """The list that records the _solve_key of every _solve_point call from
+    then on (the calls still solve)."""
+    keys = []
+    solve = tprabi.sweep._solve_point
+
+    def counted(config, *point):
+        keys.append(tprabi.sweep._solve_key(tprabi.sweep.GridPoint(*point)))
+        return solve(config, *point)
+
+    monkeypatch.setattr(tprabi.sweep, "_solve_point", counted)
+    return keys
+
+
 class TestRefineIntegration:
     def test_refined_estimate_tightens_to_known_critical_point(self):
         config = SweepConfig(
@@ -889,14 +921,7 @@ class TestRefineIntegration:
         assert refined.step < coarse.step
 
     def test_both_stages_bisect_through_locate_collapse(self, monkeypatch):
-        probes = []
-        solve = tprabi.sweep._solve_point
-
-        def counted(*args):
-            probes.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(tprabi.sweep, "_solve_point", counted)
+        probes = counted_solves(monkeypatch)
         config = SweepConfig(
             (1.0,), (0.5,), RelativeComb(steps=8, lo=0.0, hi=2.0), (Q14P,), 1024
         )
@@ -913,14 +938,7 @@ class TestRefineIntegration:
     def test_refine_defaults_start_at_the_analytic_edge(self, monkeypatch):
         # scripts/refine_critical.py's defaults: 201 then 101 points, both
         # straddling g_c; the blind bisection took 10 + 9 solves
-        probes = []
-        solve = tprabi.sweep._solve_point
-
-        def counted(*args):
-            probes.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(tprabi.sweep, "_solve_point", counted)
+        probes = counted_solves(monkeypatch)
         config = SweepConfig(
             (1.0,), (0.5,), RelativeComb(steps=200, lo=0.0, hi=2.0), (Q14P,), 1024
         )
@@ -928,7 +946,65 @@ class TestRefineIntegration:
         assert coarse.coupling == pytest.approx(0.25)
         refined = locate_collapse(refine_comb(config, coarse), 1.0, 0.5)
         assert abs(refined.coupling - 0.25) < 2e-4
-        assert len(probes) <= 4
+        # the two chained searches solve the coarse hit twice; one store does not
+        assert len(probes) == 4 and len(set(probes)) == 3
+        probes.clear()
+        assert refine_collapse(config, 1.0, 0.5) == (coarse, refined)
+        assert len(probes) == 3
+
+    @pytest.mark.parametrize("omega0", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("steps", [8, 200], ids=["9-point", "201-point"])
+    def test_shared_store_keeps_both_answers(self, monkeypatch, steps, omega0):
+        # cutoff 256 puts the refined drop below c on the 201-point comb, so
+        # the refine search gallops down past the reused rows
+        config = SweepConfig(
+            (omega0,), (0.5,), RelativeComb(steps=steps, lo=0.0, hi=2.0), (Q14P,), 256
+        )
+        coarse = locate_collapse(config, omega0, 0.5)
+        fine = refine_comb(config, coarse)
+        chained = (coarse, locate_collapse(fine, omega0, 0.5))
+        assert chained[1] == detect_collapse(run_sweep(fine), omega0, 0.5)
+        solved = counted_solves(monkeypatch)
+        assert refine_collapse(config, omega0, 0.5) == chained
+        assert len(solved) == len(set(solved))  # no point solved twice
+
+    def test_failed_refine_probe_falls_back_to_the_scan(self, monkeypatch):
+        config = SweepConfig(
+            (1.0,), (0.5,), RelativeComb(steps=8, lo=0.0, hi=2.0), (Q14P,), 1024
+        )
+        fine = refine_comb(config, CollapseEstimate(0.25, 0.0625))
+        couplings = fine.coupling_spec
+        solved = []
+
+        # collapsed from c = 0.25 up, plus a dip at couplings[10] that no
+        # probe lands on; couplings[49], the refine's first solve, fails
+        def fake(cfg, omega0, omega, g2, subspace):
+            solved.append(g2)
+            if g2 == couplings[49]:
+                return make_row(g2, FAILURE_COUNT, error="ValueError: boom")
+            return make_row(g2, 0 if g2 >= 0.25 else 1 if g2 == couplings[10] else 25)
+
+        rows = [fake(fine, 1.0, 0.5, g, Q14P) for g in couplings]
+        scan = detect_collapse(SweepResult(fine, tuple(rows)), 1.0, 0.5)
+        assert scan.coupling == couplings[10]
+        solved.clear()
+        monkeypatch.setattr(tprabi.sweep, "_solve_point", fake)
+        assert refine_collapse(config, 1.0, 0.5) == (CollapseEstimate(0.25, 0.0625), scan)
+        assert len(solved) == len(set(solved))
+
+    def test_no_coarse_collapse_solves_no_refine_point(self, monkeypatch):
+        config = SweepConfig(
+            (1.0,), (0.5,), RelativeComb(steps=8, lo=0.0, hi=2.0), (Q14P,), 1024
+        )
+        solved = []
+
+        def fake(cfg, omega0, omega, g2, subspace):
+            solved.append(g2)
+            return make_row(g2, 25)
+
+        monkeypatch.setattr(tprabi.sweep, "_solve_point", fake)
+        assert refine_collapse(config, 1.0, 0.5) == (CollapseEstimate(), CollapseEstimate())
+        assert sorted(solved) == list(config.couplings_for(0.5))  # the coarse comb only
 
 
 class TestCollapseRule:
