@@ -1,10 +1,10 @@
 """Two-stage estimate of the critical coupling: a coarse comb over [0, 2] g_c
-followed by a 101-point comb over [c - step, c + step] around its hit c.
+followed by a 51-point comb over the bracket [c - step, c] below its hit c.
 
 Both stages search their comb with refine_collapse: each starts at the
 analytic edge g_c = omega/2, and the two share one row store, so the refine
-stage reuses the coarse hit's row (and any other point both combs hold)
-instead of solving it again. At cutoff 1024 the defaults take 2 + 1 solves.
+stage reuses the coarse rows at both bracket ends instead of solving them
+again. At cutoff 1024 the defaults take 2 + 1 solves.
 
     python scripts/refine_critical.py --omega0 1 --omega 0.5 --cutoff 1024
 """

@@ -413,10 +413,10 @@ def _closed_form_and_numeric(
     of Fock level 2*level + fock_parity below g_c, the plane wave at g_c) and
     the numeric eigenvector mapped there, its unphysical global sign set by a
     non-negative overlap with a real closed form. SpectralCollapseError past g_c."""
-    pair = solve_point(params, label, cutoff, level + 1).pairs[level]
     data = classify_regime(params)
     if data.regime is Regime.INVERTED:
         raise SpectralCollapseError("regime III closed forms out of scope")
+    pair = solve_point(params, label, cutoff, level + 1).pairs[level]
     numeric = fock_to_position(pair.vector, x, label)
     if data.regime is Regime.HARMONIC:
         exact = hermite_gauss(2 * level + label.fock_parity, data, x)
@@ -520,7 +520,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (SpectralCollapseError, OSError, ValueError) as exc:  # numpy's LAPACK errors too
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

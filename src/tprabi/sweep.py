@@ -458,8 +458,8 @@ def locate_collapse(
     """detect_collapse(run_sweep(config), omega0, omega, subspace), found by
     probing comb indices from the analytic edge instead of solving every point.
 
-    Each probe is one _solve_point call, its row kept in a store for the call's
-    lifetime (refine_collapse's two stages share one). The search keeps lo
+    Each probe is one _solve_point call unless a row store holds its row (empty
+    here; refine_collapse's two stages share one). The search keeps lo
     uncollapsed and hi collapsed until they are adjacent, starting from the
     virtual bracket lo = -1 (before the comb), hi = n (past it). Its first probe
     is the analytic edge, the first point at or above critical_coupling(omega),
@@ -469,10 +469,11 @@ def locate_collapse(
     g_c is probed at both ends first, then at midpoints. Every probe is clamped
     so that the bracket it leaves still closes by bisection within the remaining
     budget: the search of an n-point comb never takes more than
-    2 + ceil(log2(n - 1)) probes (10 for 201 points), and about two when the
-    comb's edge sits at g_c. It falls back to the plain first-hit scan, reusing
-    the probed rows, when a probe fails, when the last point has not collapsed,
-    or when the probed counts, read in coupling order, ever rise.
+    2 + ceil(log2(n - 1)) solves (10 for 201 points; rows the store held on
+    entry are free), and about two when the comb's edge sits at g_c. It falls
+    back to the plain first-hit scan, reusing the probed rows, when a probe
+    fails, when the last point has not collapsed, or when the probed counts,
+    read in coupling order, ever rise.
 
     The answer equals the scan's whenever converged counts never rise along
     the comb (failed rows aside), as on every shipped config. A dip below two
@@ -486,8 +487,8 @@ def refine_collapse(
     config: SweepConfig, omega0: float, omega: float, subspace: Optional[Subspace] = None
 ) -> tuple[CollapseEstimate, CollapseEstimate]:
     """(coarse, refined): locate_collapse on config, then, if coarse is found, on
-    refine_comb(config, coarse). One row store keyed by _solve_key serves both
-    stages, so no point is solved twice; the refine comb holds c bit for bit."""
+    refine_comb(config, coarse). Both stages share one row store keyed by
+    _solve_key, which holds the refine comb's ends: no point is solved twice."""
     store: dict[tuple, SweepRow] = {}
     coarse = _search(config, omega0, omega, subspace, store)
     if not coarse.found:
@@ -500,7 +501,7 @@ def _search(
 ) -> CollapseEstimate:
     """locate_collapse, solving a probe only when store lacks its _solve_key."""
     points, couplings = _comb_slice(config, _grid_points(config), omega0, omega, subspace)
-    n = len(couplings)
+    n, stored = len(couplings), len(store)
     probed: dict[int, SweepRow] = {}
 
     def row(i: int) -> SweepRow:
@@ -521,8 +522,9 @@ def _search(
     target, step = (edge, 1) if 0 < edge < n else (0, n)
     lo, hi = -1, n
     while hi - lo > 1:
-        # the widest bracket the solves left after this one can bisect shut
-        reach = 2 ** (budget - len(probed) - 1)
+        # the widest bracket the solves left after this one can bisect shut;
+        # rows the store held on entry cost nothing
+        reach = 2 ** (budget - (len(store) - stored) - 1)
         target = min(max(target, hi - reach, lo + 1), lo + reach, hi - 1)
         if row(target).collapsed:
             hi = target
@@ -547,11 +549,12 @@ def _search(
 
 
 def refine_comb(config: SweepConfig, estimate: CollapseEstimate) -> SweepConfig:
-    """Config whose comb is c + j * step / 50, j = -50 ... 50, for a coarse
-    estimate (c, step), less points below 0: c and c - step bracket the drop."""
+    """Config whose comb is c + (j / 50) * step, j = -50 ... 0, for a coarse
+    estimate (c, step), less points below 0: the bracket [c - step, c] of the
+    drop, whose ends are the coarse points bit for bit at an interior hit."""
     if not all(x is not None and 0 < x < math.inf for x in (estimate.coupling, estimate.step)):
         raise ValueError(f"estimate must be found with finite coupling, step > 0, got {estimate}")
-    points = (estimate.coupling + j * (estimate.step / 50) for j in range(-50, 51))
+    points = (estimate.coupling + (j / 50) * estimate.step for j in range(-50, 1))
     return replace(config, coupling_spec=tuple(float(g) for g in points if g >= 0))
 
 

@@ -446,6 +446,16 @@ class TestOutFileMode:
         assert err == f"error: [Errno 13] Permission denied: {str(out)!r}\n"
         assert os.listdir(tmp_path) == ["survey.cfg"]
 
+    def test_encoding_error_propagates_and_keeps_the_target(self, tmp_path):
+        # an error that is not an OSError is raised as itself, the temp file
+        # removed and the existing file left as it was
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old\n")
+        with pytest.raises(UnicodeEncodeError):
+            tprabi.cli._write_atomic(str(target), "lone surrogate \ud800\n")
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
     @pytest.mark.parametrize("command", ["spectrum", "sweep"])
     def test_missing_directory_names_the_given_path(self, tmp_path, capsys, command):
         # the error used to name the temp file, nodir/.tprabi-XXXXXXXX.tmp
@@ -603,7 +613,12 @@ class TestModesCommand:
         # plane waves carry a genuine imaginary part
         assert np.max(np.abs(values[:, 2])) > 1e-3
 
-    def test_inverted_regime_is_computational_failure(self, capsys):
+    def test_inverted_regime_is_computational_failure(self, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve_point called in regime III")
+
+        # the regime is checked before anything is solved
+        monkeypatch.setattr(tprabi.cli, "solve_point", unreachable)
         code, _, err = run_cli(
             "modes --omega 0.5 --g2 0.3 --subspace q14+ --cutoff 128".split(), capsys
         )

@@ -380,29 +380,25 @@ class TestRefineComb:
         )
         c, step = estimate.coupling, estimate.step
         couplings = refine_comb(config, estimate).couplings_for(0.5)
-        assert len(couplings) == 101
-        # the coarse hit itself, bit for bit, and the point before it
-        assert couplings[50] == c
-        assert abs(couplings[0] - (c - step)) <= np.spacing(c - step)
-        assert abs(couplings[-1] - (c + step)) <= np.spacing(c + step)
+        # the bracket [c - step, c]: the coarse hit and the point before it
+        assert len(couplings) == 51
+        assert couplings[0] == c - step and couplings[-1] == c
         np.testing.assert_allclose(np.diff(couplings), step / 50, rtol=1e-9)
 
-    def test_first_point_is_the_coarse_point_before_a_hit_at_g_c(self):
-        # refine_collapse reuses the coarse rows of both bracket ends: c sits
-        # at the middle bit for bit (test_bracket_window), and for a hit at
-        # g_c on a [0, 2] comb the first point is the coarse c - step point
-        # bit for bit. Off g_c it can miss by an ulp (an 8-step comb's hit
-        # below g_c, for ~5% of drawn omega); that point is then solved anew.
+    def test_ends_are_the_coarse_points_of_every_interior_hit(self):
+        # refine_collapse reuses the coarse rows of both bracket ends, so for
+        # a hit at any point after the first of a [0, 2] comb, the refine
+        # comb's ends are the coarse point before it and the hit, bit for bit
         rng = np.random.default_rng(26)
         for steps in (8, 50, 200):
-            for omega in rng.uniform(1e-3, 10, 1000):
+            for omega in rng.uniform(1e-3, 10, 400):
                 config = SweepConfig(
                     (1.0,), (omega,), RelativeComb(steps, 0.0, 2.0), (Q14P,), 64
                 )
                 couplings = [float(g) for g in config.couplings_for(omega)]
-                before, c = couplings[steps // 2 - 1 : steps // 2 + 1]
-                fine = refine_comb(config, CollapseEstimate(c, c - before)).coupling_spec
-                assert (fine[0], fine[50]) == (before, c), (steps, omega)
+                for before, c in zip(couplings, couplings[1:]):
+                    fine = refine_comb(config, CollapseEstimate(c, c - before)).coupling_spec
+                    assert (fine[0], fine[-1]) == (before, c), (steps, omega, c)
 
     def test_other_settings_preserved(self):
         config = SweepConfig((1.0,), (0.5,), (0.1,), (Q14P,), 128, tolerance=1e-8)
@@ -411,10 +407,10 @@ class TestRefineComb:
 
     def test_drops_points_below_zero(self):
         # a hit at the first point of a comb that starts above 0, with the
-        # leading step: c - 16 * step / 50 is the last point at or above 0
+        # leading step: c - 16 * step / 50 is the lowest point at or above 0
         config = SweepConfig((1.0,), (0.5,), (0.1,), (Q14P,), 64)
         couplings = refine_comb(config, CollapseEstimate(0.01, 0.03)).couplings_for(0.5)
-        assert len(couplings) == 67 and couplings[16] == 0.01
+        assert len(couplings) == 17 and couplings[16] == 0.01
         assert couplings[0] == pytest.approx(0.0004) and min(couplings) >= 0
 
     def test_rejects_estimate_not_found(self):
@@ -932,11 +928,11 @@ class TestRefineIntegration:
         assert refined.found
         assert abs(refined.coupling - 0.25) < 2e-4
         assert refined.step < coarse.step
-        # 9-point then 101-point comb: (2 + 3) + (2 + 7) solves at most
-        assert len(probes) <= 14
+        # 9-point then 51-point comb: (2 + 3) + (2 + 6) solves at most
+        assert len(probes) <= 13
 
     def test_refine_defaults_start_at_the_analytic_edge(self, monkeypatch):
-        # scripts/refine_critical.py's defaults: 201 then 101 points, both
+        # scripts/refine_critical.py's defaults: 201 then 51 points, both
         # straddling g_c; the blind bisection took 10 + 9 solves
         probes = counted_solves(monkeypatch)
         config = SweepConfig(
@@ -967,6 +963,21 @@ class TestRefineIntegration:
         solved = counted_solves(monkeypatch)
         assert refine_collapse(config, omega0, 0.5) == chained
         assert len(solved) == len(set(solved))  # no point solved twice
+
+    @pytest.mark.parametrize("steps,solves", [(8, 7), (200, 8)], ids=["9-point", "201-point"])
+    def test_off_g_c_refine_solves_nothing_above_the_coarse_hit(self, monkeypatch, steps, solves):
+        # at omega0 / omega = 8 the coarse hit lies one step above g_c; the
+        # refine comb ends at it, so no solve lands past it
+        config = SweepConfig(
+            (4.0,), (0.5,), RelativeComb(steps=steps, lo=0.0, hi=2.0), (Q14P,), 256
+        )
+        solved = counted_solves(monkeypatch)
+        coarse, refined = refine_collapse(config, 4.0, 0.5)
+        assert coarse.coupling > critical_coupling(0.5)
+        assert max(key.g2 for key in solved) == coarse.coupling
+        assert len(solved) == len(set(solved)) == solves
+        fine = refine_comb(config, coarse)
+        assert refined == detect_collapse(run_sweep(fine), 4.0, 0.5)
 
     def test_failed_refine_probe_falls_back_to_the_scan(self, monkeypatch):
         config = SweepConfig(
