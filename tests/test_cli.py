@@ -526,8 +526,9 @@ class TestOracleCommand:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedOracle:
-    """The oracle's eight tasks run through the sweep's fork path: serial on
-    one CPU, in forked shares on three, with the same bytes either way."""
+    """The oracle's twelve tasks run through the sweep's fork path: serial on
+    one CPU, in one contiguous share per CPU on more, with the same bytes
+    either way."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -552,23 +553,30 @@ class TestForkedOracle:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_forked_run_prints_the_serial_bytes(self, monkeypatch, capsys, forks):
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_forked_run_prints_the_serial_bytes(self, monkeypatch, capsys, forks, cpus):
         serial = self.run_on(1, monkeypatch, capsys)
         assert forks == [] and serial[0] == 0 and serial[1].count("PASS") == 4
-        assert self.run_on(3, monkeypatch, capsys) == serial
-        assert len(forks) == 2
+        assert self.run_on(cpus, monkeypatch, capsys) == serial
+        assert len(forks) == cpus - 1
         self.assert_no_children()
 
-    def test_child_error_maps_as_in_a_serial_run(self, monkeypatch, capsys, forks):
-        # the rotation-chain tasks are the last two, solved in the last child
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "builder", ["build_full_fock", "build_phase_space", "build_rotated_fock"]
+    )
+    def test_child_error_maps_as_in_a_serial_run(self, monkeypatch, capsys, forks, builder, cpus):
+        # the calling process's share holds an alignment (full-Fock) and a
+        # phase-space task on 2, 3 and 4 CPUs, so those builders fail there
+        # first; the rotated solves all run in children, which raise here
         def broken(params, dim):
-            raise ValueError("no rotated basis")
+            raise ValueError("no dense basis")
 
-        monkeypatch.setattr(tprabi.cli, "build_rotated_fock", broken)
+        monkeypatch.setattr(tprabi.cli, builder, broken)
         serial = self.run_on(1, monkeypatch, capsys)
-        assert serial == (1, "", "error: no rotated basis\n")
-        assert self.run_on(3, monkeypatch, capsys) == serial
-        assert len(forks) == 2
+        assert serial == (1, "", "error: no dense basis\n")
+        assert self.run_on(cpus, monkeypatch, capsys) == serial
+        assert len(forks) == cpus - 1
         self.assert_no_children()
 
 
