@@ -1,24 +1,26 @@
-"""Survey converged-state counts over a coupling comb and report where each
-slice collapses.
+"""Search each slice of a coupling comb from g_c and report where it collapses.
 
-Typical runs:
-    python scripts/collapse_survey.py --omega0 0 --omega 0.45 --out degenerate.csv
+Typical run:
     python scripts/collapse_survey.py --omega0 0.95 1.0 1.05 --omega 0.5 --steps 200
+
+The whole row table comes from `tprabi sweep`, which solves every comb point.
+This config writes the table of `--omega0 0 --omega 0.45` at the defaults
+here (g2_rel = grid(0, 2, steps + 1)):
+
+    omega0 = 0
+    omega = 0.45
+    g2_rel = grid(0, 2, 201)
+    subspaces = q14+
+    cutoff = 1024
+    eigenpairs = 25
+
+    python -m tprabi sweep degenerate.cfg --out degenerate.csv
 """
 
 import argparse
 import sys
-from functools import partial
 
-from tprabi import (
-    RelativeComb,
-    SweepConfig,
-    detect_collapse,
-    locate_collapse,
-    run_sweep,
-    subspace_from_name,
-)
-from tprabi.cli import _write_atomic, sweep_csv
+from tprabi import RelativeComb, SweepConfig, locate_collapse, subspace_from_name
 
 
 def parse_args(argv=None):
@@ -29,10 +31,9 @@ def parse_args(argv=None):
     parser.add_argument("--cutoff", type=int, default=2**10)
     parser.add_argument("--steps", type=int, default=200, help="comb intervals over [0, 2] g_c")
     parser.add_argument("--eigenpairs", type=int, default=25)
-    parser.add_argument("--out", default=None, help="write the row table as CSV")
     args = parser.parse_args(argv)
     try:  # a value the config rejects is a usage error: exit 2
-        config = SweepConfig(
+        return SweepConfig(
             omega0_grid=tuple(args.omega0),
             omega_grid=tuple(args.omega),
             coupling_spec=RelativeComb(steps=args.steps, lo=0.0, hi=2.0),
@@ -42,26 +43,13 @@ def parse_args(argv=None):
         )
     except ValueError as exc:
         parser.error(str(exc))
-    return args, config
 
 
 def main(argv=None):
-    args, config = parse_args(argv)
-    # without a table to write, each slice's estimate searches its comb from g_c
-    estimate_for = partial(locate_collapse, config)
-    if args.out is not None:
-        result = run_sweep(config)
-        try:
-            _write_atomic(args.out, sweep_csv(result))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {len(result.rows)} rows to {args.out}")
-        estimate_for = partial(detect_collapse, result)
-
+    config = parse_args(argv)
     for omega0 in config.omega0_grid:
         for omega in config.omega_grid:
-            estimate = estimate_for(omega0, omega)
+            estimate = locate_collapse(config, omega0, omega)
             label = f"omega0={omega0:g} omega={omega:g}"
             if estimate.found:
                 print(

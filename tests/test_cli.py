@@ -523,6 +523,31 @@ class TestOracleCommand:
             in out.splitlines()
         )
 
+    # each check fed one NaN, by the function named: max(0.0, nan) used to
+    # read 0.0, so the check printed PASS and the oracle exited 0
+    NAN_INPUTS = {
+        "alignment": ("align_spectra", lambda real: lambda *a: real(*a)._replace(residual=np.nan)),
+        "degenerate-spectrum": (
+            "degenerate_spectrum", lambda real: lambda *a: np.append(real(*a)[:4], np.nan)
+        ),
+        "hermite-gauss": ("_oracle_hermite_gauss", lambda real: lambda cutoff: np.nan),
+        "rotation-chain": ("_oracle_values", lambda real: lambda *a: [*real(*a)[:-1], np.nan]),
+    }
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("check", list(NAN_INPUTS))
+    def test_nan_deviation_fails(self, monkeypatch, capsys, check, cpus):
+        name, wrap = self.NAN_INPUTS[check]
+        monkeypatch.setattr(tprabi.cli, name, wrap(getattr(tprabi.cli, name)))
+        monkeypatch.setattr(tprabi.sweep, "_available_cpus", lambda: cpus)
+        code, out, _ = run_cli(["oracle", "--cutoff", "32", "--seed", "7"], capsys)
+        lines = {line.split(":")[0]: line for line in out.splitlines()}
+        assert code == 1
+        assert lines.pop(f"check {check}") == (
+            f"check {check}: FAIL (max deviation nan, tolerance 1e-06)"
+        )
+        assert len(lines) == 3 and all(": PASS (" in line for line in lines.values())
+
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedOracle:
@@ -764,14 +789,18 @@ def test_study_script_usage_error_exit_code(script, flags, message):
     assert proc.stderr.splitlines()[-1].startswith(f"{script}: error: {message}")
 
 
-@pytest.mark.parametrize("out", [".", "missing/x.csv"], ids=["directory", "missing-parent"])
-def test_survey_unwritable_out_is_an_error_line(tmp_path, out):
-    # the table write used to end in a traceback after the whole sweep had run
-    argv = ["--cutoff", "64", "--steps", "4", "--out", str(tmp_path / out)]
-    proc = run_script("collapse_survey.py", argv)
-    assert proc.returncode == 1 and proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
-    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tprabi-")]
+def test_survey_search_prints_the_scanned_estimates(monkeypatch, capsys):
+    # the golden run's arguments: each slice's estimate, searched from g_c,
+    # prints as the scan of the slice's every comb row does
+    argv = "--omega0 0 1 --cutoff 256 --steps 40".split()
+    survey = load_script("collapse_survey.py")
+    scan = run_sweep(survey.parse_args(argv))
+    assert survey.main(argv) == 0
+    searched = capsys.readouterr().out
+    monkeypatch.setattr(survey, "locate_collapse", lambda _, w0, w: detect_collapse(scan, w0, w))
+    assert survey.main(argv) == 0
+    assert capsys.readouterr().out == searched
+    assert searched.count(": collapse at g2 = 0.25 +- ") == 2
 
 
 @pytest.mark.parametrize("steps", [2, 20])
