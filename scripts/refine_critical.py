@@ -4,7 +4,8 @@ followed by a 51-point comb over the bracket [c - step, c] below its hit c.
 Both stages search their comb with refine_collapse: each starts at the
 analytic edge g_c = omega/2, and the two share one row store, so the refine
 stage reuses the coarse rows at both bracket ends instead of solving them
-again. At cutoff 1024 the defaults take 2 + 1 solves.
+again. At cutoff 1024 the defaults take 3 probes, one of them solved at all
+k levels.
 
     python scripts/refine_critical.py --omega0 1 --omega 0.5 --cutoff 1024
 """

@@ -6,8 +6,9 @@ the converged-state count dropping to at most one, a truncated-basis proxy
 for the spectrum turning continuous. At omega0 = 0 both qubit branches of a
 Bargmann sector are the same matrix, so a sweep solves each such pair once.
 locate_collapse finds the same point by probing the comb from the analytic
-edge g_c = omega/2 instead of solving all of it; refine_collapse probes a
-coarse comb, then its refine comb, solving no point twice. map_forked is the
+edge g_c = omega/2 instead of solving all of it, each probe first at its
+PROBE_DEPTH lowest levels; refine_collapse probes a coarse comb, then its
+refine comb, probing no point twice. map_forked is the
 one fork path: sweeps of 8 or more distinct solves run them in forked
 processes and get them back in grid order.
 """
@@ -50,6 +51,9 @@ FAILURE_COUNT = -1  # converged_count marker for rows whose solve failed
 # a sweep forks one worker per this many distinct solves, up to the CPUs, so
 # from 8 solves on; a fork costs ~1 ms (break-even table: README, "Sweeps")
 ROWS_PER_WORKER = 4
+# levels a g_c search probe solves first; only a collapsed or failed probe
+# is solved again at all requested levels
+PROBE_DEPTH = 3
 
 
 class GridPoint(NamedTuple):
@@ -458,8 +462,13 @@ def locate_collapse(
     """detect_collapse(run_sweep(config), omega0, omega, subspace), found by
     probing comb indices from the analytic edge instead of solving every point.
 
-    Each probe is one _solve_point call unless a row store holds its row (empty
-    here; refine_collapse's two stages share one). The search keeps lo
+    A probe solves nothing when a row store holds its row (empty here;
+    refine_collapse's two stages share one). Otherwise it solves the point's
+    min(PROBE_DEPTH, k) lowest levels (k = config.requested_eigenpairs): if
+    that solve succeeds and two or more of them converge, the row is not
+    collapsed, and all k levels could only add converged ones, so the probe
+    stops there. A collapsed or failed probe is solved again at all k levels,
+    which gives exactly the row run_sweep lists. The search keeps lo
     uncollapsed and hi collapsed until they are adjacent, starting from the
     virtual bracket lo = -1 (before the comb), hi = n (past it). Its first probe
     is the analytic edge, the first point at or above critical_coupling(omega),
@@ -469,16 +478,20 @@ def locate_collapse(
     g_c is probed at both ends first, then at midpoints. Every probe is clamped
     so that the bracket it leaves still closes by bisection within the remaining
     budget: the search of an n-point comb never takes more than
-    2 + ceil(log2(n - 1)) solves (10 for 201 points; rows the store held on
+    2 + ceil(log2(n - 1)) probes (10 for 201 points; rows the store held on
     entry are free), and about two when the comb's edge sits at g_c. It falls
     back to the plain first-hit scan, reusing the probed rows, when a probe
-    fails, when the last point has not collapsed, or when the probed counts,
-    read in coupling order, ever rise.
+    fails, when the last point has not collapsed, or when the counts of the
+    probes solved at all k levels, read in coupling order, ever rise; a probe
+    stopped at PROBE_DEPTH levels has no count to compare.
 
     The answer equals the scan's whenever converged counts never rise along
     the comb (failed rows aside), as on every shipped config. A dip below two
     that no probe lands on cannot be seen: with counts 25, 0, 25, 25, 0 the
-    scan reports the second point and this search the last.
+    scan reports the second point and this search the last. Nor can a rise
+    among probes stopped at PROBE_DEPTH levels: with counts 10, 1, 20, 20, 0
+    the probes at 10, 20 and 20 each converge in all 3 levels they solve, so
+    the search reports the last point where the scan reports the second.
     """
     return _search(config, omega0, omega, subspace, {})
 
@@ -488,8 +501,8 @@ def refine_collapse(
 ) -> tuple[CollapseEstimate, CollapseEstimate]:
     """(coarse, refined): locate_collapse on config, then, if coarse is found, on
     refine_comb(config, coarse). Both stages share one row store keyed by
-    _solve_key, which holds the refine comb's ends: no point is solved twice."""
-    store: dict[tuple, SweepRow] = {}
+    _solve_key, which holds the refine comb's ends: no point is probed twice."""
+    store: dict[tuple, tuple[SweepRow, bool]] = {}
     coarse = _search(config, omega0, omega, subspace, store)
     if not coarse.found:
         return coarse, CollapseEstimate()
@@ -499,17 +512,31 @@ def refine_collapse(
 def _search(
     config: SweepConfig, omega0: float, omega: float, subspace: Optional[Subspace], store: dict
 ) -> CollapseEstimate:
-    """locate_collapse, solving a probe only when store lacks its _solve_key."""
+    """locate_collapse, probing a point only when store lacks its _solve_key.
+
+    store maps a key to (row, deep): deep when the row was solved at all
+    config.requested_eigenpairs levels, as _solve_point(config, ...) gives it."""
     points, couplings = _comb_slice(config, _grid_points(config), omega0, omega, subspace)
     n, stored = len(couplings), len(store)
-    probed: dict[int, SweepRow] = {}
+    probed: dict[int, tuple[SweepRow, bool]] = {}
+    shallow = replace(config, requested_eigenpairs=min(PROBE_DEPTH, config.requested_eigenpairs))
+
+    def probe(point: GridPoint) -> tuple[SweepRow, bool]:
+        # two converged levels among the lowest few decide "not collapsed":
+        # solving more levels can only add converged ones
+        row = _solve_point(shallow, *point)
+        if shallow == config:
+            return row, True
+        if row.converged_count >= 2:
+            return row, False
+        return _solve_point(config, *point), True
 
     def row(i: int) -> SweepRow:
         key = _solve_key(points[i])
         if key not in store:
-            store[key] = _solve_point(config, *points[i])
+            store[key] = probe(points[i])
         probed[i] = store[key]
-        return probed[i]
+        return probed[i][0]
 
     def scan() -> CollapseEstimate:
         return _first_collapse(couplings, (row(i) for i in range(n)))
@@ -522,7 +549,7 @@ def _search(
     target, step = (edge, 1) if 0 < edge < n else (0, n)
     lo, hi = -1, n
     while hi - lo > 1:
-        # the widest bracket the solves left after this one can bisect shut;
+        # the widest bracket the probes left after this one can bisect shut;
         # rows the store held on entry cost nothing
         reach = 2 ** (budget - (len(store) - stored) - 1)
         target = min(max(target, hi - reach, lo + 1), lo + reach, hi - 1)
@@ -539,10 +566,11 @@ def _search(
             target = (lo + hi) // 2
         step *= 2
     # the bracket only means "first hit" if the last point collapsed, no probe
-    # failed and counts fall
+    # failed and counts fall; only rows solved at all k levels have a count
     seen = [probed[i] for i in sorted(probed)]
-    if hi == n or any(r.error is not None for r in seen) or any(
-        len(b.energies) > len(a.energies) for a, b in zip(seen, seen[1:])
+    counts = [len(r.energies) for r, deep in seen if deep]
+    if hi == n or any(r.error is not None for r, _ in seen) or any(
+        b > a for a, b in zip(counts, counts[1:])
     ):
         return scan()
     return _estimate_at(couplings, hi)

@@ -38,7 +38,7 @@ from tprabi import (
 from tprabi.cli import _sweep_summary, parse_sweep_config, sweep_csv
 from tprabi.model import full_fock_chains
 from tprabi.solver import EigenPair, FilteredSpectrum, solve_chains
-from tprabi.sweep import FAILURE_COUNT, CollapseEstimate, SweepResult, SweepRow
+from tprabi.sweep import FAILURE_COUNT, PROBE_DEPTH, CollapseEstimate, SweepResult, SweepRow
 
 Q14P = SubspaceLabel(0.25, 1)
 Q34P = SubspaceLabel(0.75, 1)
@@ -227,29 +227,42 @@ class TestDetectCollapse:
         assert not estimate.found
 
 
+def probed(calls):
+    """The points of the probes among recorded (point, depth) _solve_point
+    calls, in probe order: a probe's first call solves PROBE_DEPTH levels."""
+    return [point for point, depth in calls if depth == PROBE_DEPTH]
+
+
+def resolved(calls):
+    """The points that recorded (point, depth) calls solved again at all of
+    more than PROBE_DEPTH requested levels."""
+    return [point for point, depth in calls if depth > PROBE_DEPTH]
+
+
 def crafted_comb(monkeypatch, counts, failed=(), edge=24):
-    """A comb whose _solve_point rows carry the given counts (failed indices
-    become failure rows). Returns the config, the scan's estimate over every
-    row, and the list that records each probed index from then on.
+    """A comb whose _solve_point rows carry the given counts, capped at the
+    levels each call requests (failed indices become failure rows). Returns
+    the config, the scan's estimate over every row, and the list that records
+    (index, requested levels) of every call from then on.
 
     The couplings are 0.01 apart, the one at index edge being
     critical_coupling(0.5) = 0.25; an edge off the comb leaves g_c outside."""
     couplings = tuple(0.25 + 0.01 * (i - edge) for i in range(len(counts)))
     config = SweepConfig((1.0,), (0.5,), couplings, (Q14P,), 1024)
-    probes = []
+    calls = []
 
     def fake(cfg, omega0, omega, g2, subspace):
         i = couplings.index(g2)
-        probes.append(i)
+        calls.append((i, cfg.requested_eigenpairs))
         if i in failed:
             return make_row(g2, FAILURE_COUNT, error="ValueError: boom")
-        return make_row(g2, counts[i])
+        return make_row(g2, min(counts[i], cfg.requested_eigenpairs))
 
     monkeypatch.setattr(tprabi.sweep, "_solve_point", fake)
     rows = [fake(config, 1.0, 0.5, g, Q14P) for g in couplings]
     scan = detect_collapse(make_result(rows), 1.0, 0.5)
-    probes.clear()
-    return config, scan, probes
+    calls.clear()
+    return config, scan, calls
 
 
 def bisection_probes(n, hit):
@@ -286,7 +299,9 @@ class TestLocateCollapse:
     @pytest.mark.parametrize(
         "counts,failed,hit",
         [
-            ([10, 1, 20, 20, 0], (), 1),  # rising counts: a probe sees 10 -> 20
+            # rising counts among collapsed probes, which are solved at all
+            # k levels: 0 -> 1 hides the dip at index 1
+            ([25, 0, 25, 25, 0, 25, 25, 25, 1], (), 1),
             ([25, 25, 25, 25, -1, 25, 0, 0, 0], (4,), 6),  # failed probe row
             ([-1, 0, 0, 0, 0], (0,), 1),  # failed first row
             ([25, 25, 25, -1], (3,), None),  # failed last row
@@ -295,32 +310,46 @@ class TestLocateCollapse:
         ],
     )
     def test_crafted_counts_give_scan_answer(self, monkeypatch, counts, failed, hit):
-        config, scan, probes = crafted_comb(monkeypatch, counts, failed)
+        config, scan, calls = crafted_comb(monkeypatch, counts, failed)
         assert scan.found == (hit is not None)
         if hit is not None:
             assert scan.coupling == config.coupling_spec[hit]
         assert locate_collapse(config, 1.0, 0.5) == scan
-        assert len(probes) == len(set(probes))  # each row is solved once
+        assert len(calls) == len(set(calls))  # each row is solved once per depth
+        # only a probe that is collapsed or failed at PROBE_DEPTH is solved at k
+        assert set(resolved(calls)) == {
+            i for i in probed(calls) if i in failed or counts[i] <= 1
+        }
 
     def test_collapse_at_first_point_probes_once(self, monkeypatch):
-        config, scan, probes = crafted_comb(monkeypatch, [1, 0, 0, 0])
+        config, scan, calls = crafted_comb(monkeypatch, [1, 0, 0, 0])
         estimate = locate_collapse(config, 1.0, 0.5)
         assert estimate == scan and estimate.coupling == config.coupling_spec[0]
         assert estimate.step == pytest.approx(0.01)  # the leading step
-        assert probes == [0]
+        assert calls == [(0, PROBE_DEPTH), (0, 25)]  # one probe, collapsed: solved at k
 
     def test_unseen_dip_is_the_documented_limit(self, monkeypatch):
         config, scan, _ = crafted_comb(monkeypatch, [25, 0, 25, 25, 0])
         assert scan.coupling == config.coupling_spec[1]
         assert locate_collapse(config, 1.0, 0.5).coupling == config.coupling_spec[4]
 
+    def test_rise_among_depth_limited_probes_is_the_documented_limit(self, monkeypatch):
+        # the probes at 0, 2 and 3 read 10, 20, 20 at k levels, a rise that
+        # sends the scan to the dip at 1; at PROBE_DEPTH each reads 3, and
+        # only the collapsed probe at 4 has a count
+        config, scan, calls = crafted_comb(monkeypatch, [10, 1, 20, 20, 0])
+        assert scan.coupling == config.coupling_spec[1]
+        assert locate_collapse(config, 1.0, 0.5).coupling == config.coupling_spec[4]
+        assert probed(calls) == [0, 4, 2, 3] and resolved(calls) == [4]
+
     @pytest.mark.parametrize("hit", [1, 2, 57, 100, 199, 200])
     def test_monotone_comb_needs_logarithmic_solves(self, monkeypatch, hit):
         counts = [25] * (hit - 1) + [12] + [0] * (201 - hit)
-        config, scan, probes = crafted_comb(monkeypatch, counts)
+        config, scan, calls = crafted_comb(monkeypatch, counts)
         assert locate_collapse(config, 1.0, 0.5) == scan
         assert scan.coupling == config.coupling_spec[hit]
-        assert len(probes) <= 2 + math.ceil(math.log2(200))
+        assert len(probed(calls)) <= 2 + math.ceil(math.log2(200))
+        assert resolved(calls) == [i for i in probed(calls) if i >= hit]
 
     def test_analytic_start_keeps_scan_answer_and_budget(self, monkeypatch):
         # every comb length, monotone first hit (n: none) and edge position
@@ -329,9 +358,10 @@ class TestLocateCollapse:
             for hit in range(n + 1):
                 counts = ([2] * hit + [1] + [0] * n)[:n]
                 for edge in range(-1, n + 2):
-                    config, scan, probes = crafted_comb(monkeypatch, counts, edge=edge)
+                    config, scan, calls = crafted_comb(monkeypatch, counts, edge=edge)
                     assert locate_collapse(config, 1.0, 0.5) == scan, (n, hit, edge)
-                    assert len(probes) == len(set(probes)), (n, hit, edge)
+                    assert len(calls) == len(set(calls)), (n, hit, edge)
+                    probes = probed(calls)
                     if hit < n:
                         assert scan.coupling == config.coupling_spec[hit]
                         assert len(probes) <= budget, (n, hit, edge)
@@ -342,9 +372,9 @@ class TestLocateCollapse:
 
     def test_edge_at_the_analytic_point_costs_two_solves(self, monkeypatch):
         counts = [25] * 100 + [0] * 101
-        config, scan, probes = crafted_comb(monkeypatch, counts, edge=100)
+        config, scan, calls = crafted_comb(monkeypatch, counts, edge=100)
         assert locate_collapse(config, 1.0, 0.5) == scan
-        assert probes == [100, 99]
+        assert probed(calls) == [100, 99] and resolved(calls) == [100]
 
     @pytest.mark.parametrize(
         "over,omega0,subspace,message",
@@ -891,13 +921,14 @@ class TestFullChainSolve:
 
 
 def counted_solves(monkeypatch):
-    """The list that records the _solve_key of every _solve_point call from
-    then on (the calls still solve)."""
+    """The list that records (_solve_key, requested levels) of every
+    _solve_point call from then on (the calls still solve)."""
     keys = []
     solve = tprabi.sweep._solve_point
 
     def counted(config, *point):
-        keys.append(tprabi.sweep._solve_key(tprabi.sweep.GridPoint(*point)))
+        key = tprabi.sweep._solve_key(tprabi.sweep.GridPoint(*point))
+        keys.append((key, config.requested_eigenpairs))
         return solve(config, *point)
 
     monkeypatch.setattr(tprabi.sweep, "_solve_point", counted)
@@ -917,7 +948,7 @@ class TestRefineIntegration:
         assert refined.step < coarse.step
 
     def test_both_stages_bisect_through_locate_collapse(self, monkeypatch):
-        probes = counted_solves(monkeypatch)
+        calls = counted_solves(monkeypatch)
         config = SweepConfig(
             (1.0,), (0.5,), RelativeComb(steps=8, lo=0.0, hi=2.0), (Q14P,), 1024
         )
@@ -928,13 +959,13 @@ class TestRefineIntegration:
         assert refined.found
         assert abs(refined.coupling - 0.25) < 2e-4
         assert refined.step < coarse.step
-        # 9-point then 51-point comb: (2 + 3) + (2 + 6) solves at most
-        assert len(probes) <= 13
+        # 9-point then 51-point comb: (2 + 3) + (2 + 6) probes at most
+        assert len(probed(calls)) <= 13
 
     def test_refine_defaults_start_at_the_analytic_edge(self, monkeypatch):
         # scripts/refine_critical.py's defaults: 201 then 51 points, both
-        # straddling g_c; the blind bisection took 10 + 9 solves
-        probes = counted_solves(monkeypatch)
+        # straddling g_c; the blind bisection took 10 + 9 probes
+        calls = counted_solves(monkeypatch)
         config = SweepConfig(
             (1.0,), (0.5,), RelativeComb(steps=200, lo=0.0, hi=2.0), (Q14P,), 1024
         )
@@ -943,10 +974,13 @@ class TestRefineIntegration:
         refined = locate_collapse(refine_comb(config, coarse), 1.0, 0.5)
         assert abs(refined.coupling - 0.25) < 2e-4
         # the two chained searches solve the coarse hit twice; one store does not
+        probes = probed(calls)
         assert len(probes) == 4 and len(set(probes)) == 3
-        probes.clear()
+        assert resolved(calls) == [probes[0], probes[0]]
+        calls.clear()
         assert refine_collapse(config, 1.0, 0.5) == (coarse, refined)
-        assert len(probes) == 3
+        # 3 probes; only the collapsed coarse hit is solved at all k levels
+        assert len(probed(calls)) == 3 and resolved(calls) == probed(calls)[:1]
 
     @pytest.mark.parametrize("omega0", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("steps", [8, 200], ids=["9-point", "201-point"])
@@ -960,9 +994,11 @@ class TestRefineIntegration:
         fine = refine_comb(config, coarse)
         chained = (coarse, locate_collapse(fine, omega0, 0.5))
         assert chained[1] == detect_collapse(run_sweep(fine), omega0, 0.5)
-        solved = counted_solves(monkeypatch)
+        calls = counted_solves(monkeypatch)
         assert refine_collapse(config, omega0, 0.5) == chained
-        assert len(solved) == len(set(solved))  # no point solved twice
+        solved = probed(calls)
+        assert len(solved) == len(set(solved))  # no point probed twice
+        assert len(calls) == len(solved) + len(set(resolved(calls)))
 
     @pytest.mark.parametrize("steps,solves", [(8, 7), (200, 8)], ids=["9-point", "201-point"])
     def test_off_g_c_refine_solves_nothing_above_the_coarse_hit(self, monkeypatch, steps, solves):
@@ -971,11 +1007,13 @@ class TestRefineIntegration:
         config = SweepConfig(
             (4.0,), (0.5,), RelativeComb(steps=steps, lo=0.0, hi=2.0), (Q14P,), 256
         )
-        solved = counted_solves(monkeypatch)
+        calls = counted_solves(monkeypatch)
         coarse, refined = refine_collapse(config, 4.0, 0.5)
         assert coarse.coupling > critical_coupling(0.5)
+        solved = probed(calls)
         assert max(key.g2 for key in solved) == coarse.coupling
         assert len(solved) == len(set(solved)) == solves
+        assert len(calls) == len(set(calls))
         fine = refine_comb(config, coarse)
         assert refined == detect_collapse(run_sweep(fine), 4.0, 0.5)
 
@@ -988,12 +1026,13 @@ class TestRefineIntegration:
         solved = []
 
         # collapsed from c = 0.25 up, plus a dip at couplings[10] that no
-        # probe lands on; couplings[49], the refine's first solve, fails
+        # probe lands on; couplings[49], the refine's first probe, fails
         def fake(cfg, omega0, omega, g2, subspace):
-            solved.append(g2)
+            solved.append((g2, cfg.requested_eigenpairs))
             if g2 == couplings[49]:
                 return make_row(g2, FAILURE_COUNT, error="ValueError: boom")
-            return make_row(g2, 0 if g2 >= 0.25 else 1 if g2 == couplings[10] else 25)
+            count = 0 if g2 >= 0.25 else 1 if g2 == couplings[10] else 25
+            return make_row(g2, min(count, cfg.requested_eigenpairs))
 
         rows = [fake(fine, 1.0, 0.5, g, Q14P) for g in couplings]
         scan = detect_collapse(SweepResult(fine, tuple(rows)), 1.0, 0.5)
@@ -1002,6 +1041,7 @@ class TestRefineIntegration:
         monkeypatch.setattr(tprabi.sweep, "_solve_point", fake)
         assert refine_collapse(config, 1.0, 0.5) == (CollapseEstimate(0.25, 0.0625), scan)
         assert len(solved) == len(set(solved))
+        assert (couplings[49], 25) in solved  # the failed probe is solved again at k
 
     def test_no_coarse_collapse_solves_no_refine_point(self, monkeypatch):
         config = SweepConfig(
@@ -1010,12 +1050,77 @@ class TestRefineIntegration:
         solved = []
 
         def fake(cfg, omega0, omega, g2, subspace):
-            solved.append(g2)
-            return make_row(g2, 25)
+            solved.append((g2, cfg.requested_eigenpairs))
+            return make_row(g2, min(25, cfg.requested_eigenpairs))
 
         monkeypatch.setattr(tprabi.sweep, "_solve_point", fake)
         assert refine_collapse(config, 1.0, 0.5) == (CollapseEstimate(), CollapseEstimate())
-        assert sorted(solved) == list(config.couplings_for(0.5))  # the coarse comb only
+        # the coarse comb only, each point decided at PROBE_DEPTH levels
+        assert sorted(probed(solved)) == list(config.couplings_for(0.5))
+        assert resolved(solved) == []
+
+
+def record_select_ranges(monkeypatch):
+    """The list that records the select_range of every eigh_tridiagonal call
+    from then on (the calls still solve)."""
+    ranges = []
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def recorded(*args, **kwargs):
+        ranges.append(kwargs["select_range"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recorded)
+    return ranges
+
+
+class TestProbeDepth:
+    """A search probe solves its PROBE_DEPTH lowest levels first and all k
+    only when those leave it collapsed or failed."""
+
+    @pytest.mark.parametrize("subspace,chains", [(Q14P, 1), (FULL, 4)], ids=["q14+", "full"])
+    def test_only_a_collapsed_probe_asks_for_all_k_levels(self, monkeypatch, subspace, chains):
+        # at cutoff 1024 the search probes g_c (collapsed), then the point below
+        config = SweepConfig(
+            (1.0,), (0.5,), RelativeComb(steps=200, lo=0.0, hi=2.0), (subspace,), 1024
+        )
+        calls = counted_solves(monkeypatch)
+        ranges = record_select_ranges(monkeypatch)
+        assert locate_collapse(config, 1.0, 0.5).coupling == 0.25
+        assert [key.g2 for key in probed(calls)] == [0.25, 0.2475]
+        assert [key.g2 for key in resolved(calls)] == [0.25]
+        assert ranges == [(0, 2)] * chains + [(0, 24)] * chains + [(0, 2)] * chains
+
+    def test_failed_shallow_solve_stores_the_k_level_row(self, monkeypatch):
+        config = SweepConfig(
+            (1.0,), (0.5,), RelativeComb(steps=200, lo=0.0, hi=2.0), (Q14P,), 256
+        )
+        expected = locate_collapse(config, 1.0, 0.5)
+        solve = scipy.linalg.eigh_tridiagonal
+
+        def failing_shallow(*args, **kwargs):
+            if kwargs["select_range"] == (0, PROBE_DEPTH - 1):
+                raise np.linalg.LinAlgError("shallow solve failed")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing_shallow)
+        store = {}
+        assert tprabi.sweep._search(config, 1.0, 0.5, None, store) == expected
+        assert store
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", solve)
+        for key, stored in store.items():
+            assert stored == (tprabi.sweep._solve_point(config, *key), True)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_few_requested_levels_take_one_call_per_probe(self, monkeypatch, k):
+        config = SweepConfig(
+            (1.0,), (0.5,), RelativeComb(steps=40, lo=0.0, hi=2.0), (Q14P,), 256, k
+        )
+        scan = detect_collapse(run_sweep(config), 1.0, 0.5)
+        calls = counted_solves(monkeypatch)
+        assert refine_collapse(config, 1.0, 0.5)[0] == scan
+        assert calls and all(depth == k for _, depth in calls)
+        assert len(calls) == len(set(calls))
 
 
 class TestCollapseRule:
