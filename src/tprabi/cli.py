@@ -218,25 +218,6 @@ def parse_sweep_config(text: str) -> SweepConfig:
         raise ConfigError(str(exc)) from None
 
 
-def serialize_sweep_config(config: SweepConfig) -> str:
-    """Canonical text form; parse(serialize(c)) reproduces c exactly."""
-    lines = [
-        "omega0 = " + ", ".join(repr(v) for v in config.omega0_grid),
-        "omega = " + ", ".join(repr(v) for v in config.omega_grid),
-    ]
-    if isinstance(config.coupling_spec, RelativeComb):
-        comb = config.coupling_spec
-        lines.append(f"g2_rel = grid({comb.lo!r}, {comb.hi!r}, {comb.steps + 1})")
-    else:
-        lines.append("g2 = " + ", ".join(repr(v) for v in config.coupling_spec))
-    lines.append("subspaces = " + ", ".join(s.name for s in config.subspaces))
-    lines.append(f"cutoff = {config.cutoff}")
-    lines.append(f"eigenpairs = {config.requested_eigenpairs}")
-    lines.append(f"tail_fraction = {config.tail_fraction!r}")
-    lines.append(f"tolerance = {config.tolerance!r}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -507,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     modes.add_argument("--omega", type=float, required=True)
     modes.add_argument("--g2", type=float, required=True)
     modes.add_argument("--cutoff", type=int, default=2048)
-    modes.add_argument("--subspace", choices=SUBSPACE_CHOICES[:4], required=True)
+    modes.add_argument("--subspace", choices=[s.name for s in ALL_SUBSPACES], required=True)
     modes.add_argument("--level", type=int, default=0, help="subspace ladder index")
     modes.add_argument("--xmin", type=float, default=-10.0)
     modes.add_argument("--xmax", type=float, default=10.0)

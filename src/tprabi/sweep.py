@@ -465,12 +465,12 @@ def locate_collapse(
     A probe solves nothing when a row store holds its row (empty here;
     refine_collapse's two stages share one). Otherwise it solves the point's
     min(PROBE_DEPTH, k) lowest levels (k = config.requested_eigenpairs): if
-    that solve succeeds and two or more of them converge, the row is not
-    collapsed, and all k levels could only add converged ones, so the probe
-    stops there. A collapsed or failed probe is solved again at all k levels,
-    which gives exactly the row run_sweep lists. The search keeps lo
-    uncollapsed and hi collapsed until they are adjacent, starting from the
-    virtual bracket lo = -1 (before the comb), hi = n (past it). Its first probe
+    that solve succeeds and its row is not collapsed (SweepRow.collapsed),
+    all k levels could only add converged ones, so the probe stops there. A
+    collapsed or failed probe is solved again at all k levels, which gives
+    exactly the row run_sweep lists. The search keeps lo uncollapsed and hi
+    collapsed until they are adjacent, starting from the virtual bracket
+    lo = -1 (before the comb), hi = n (past it). Its first probe
     is the analytic edge, the first point at or above critical_coupling(omega),
     when that lies past the first comb point; from there it gallops away from
     the verdict (1, 3, 7, ... points down from a collapsed probe, up from an
@@ -519,16 +519,15 @@ def _search(
     points, couplings = _comb_slice(config, _grid_points(config), omega0, omega, subspace)
     n, stored = len(couplings), len(store)
     probed: dict[int, tuple[SweepRow, bool]] = {}
-    shallow = replace(config, requested_eigenpairs=min(PROBE_DEPTH, config.requested_eigenpairs))
+    whole = config.requested_eigenpairs <= PROBE_DEPTH  # the shallow solve holds all k
+    shallow = config if whole else replace(config, requested_eigenpairs=PROBE_DEPTH)
 
     def probe(point: GridPoint) -> tuple[SweepRow, bool]:
-        # two converged levels among the lowest few decide "not collapsed":
-        # solving more levels can only add converged ones
+        # a solved row that is not collapsed stays so: more levels can only
+        # add converged ones
         row = _solve_point(shallow, *point)
-        if shallow == config:
-            return row, True
-        if row.converged_count >= 2:
-            return row, False
+        if whole or (row.error is None and not row.collapsed):
+            return row, whole
         return _solve_point(config, *point), True
 
     def row(i: int) -> SweepRow:

@@ -9,8 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import tprabi.cli
 import tprabi.sweep
@@ -23,7 +21,7 @@ from tprabi import (
     refine_comb,
     run_sweep,
 )
-from tprabi.cli import main, parse_sweep_config, serialize_sweep_config
+from tprabi.cli import main, parse_sweep_config
 from tprabi.solver import FilteredSpectrum
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
@@ -155,53 +153,54 @@ class TestSpectrumCommand:
         assert not missing.exists()
 
 
-config_st = st.builds(
-    SweepConfig,
-    omega0_grid=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3, unique=True),
-    omega_grid=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3, unique=True),
-    coupling_spec=st.one_of(
-        st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6).map(tuple),
-        st.builds(
-            RelativeComb,
-            steps=st.integers(1, 400),
-            lo=st.floats(0.0, 0.9),
-            hi=st.floats(1.0, 3.0),
-        ),
-    ),
-    subspaces=st.lists(
-        st.sampled_from(
-            [
-                SubspaceLabel(0.25, 1),
-                SubspaceLabel(0.25, -1),
-                SubspaceLabel(0.75, 1),
-                SubspaceLabel(0.75, -1),
-                FULL,
-            ]
-        ),
-        min_size=1,
-        max_size=5,
-        unique=True,
-    ),
-    cutoff=st.integers(64, 8192),
-    requested_eigenpairs=st.integers(2, 60),
-    tail_fraction=st.floats(0.01, 0.99),
-    tolerance=st.floats(1e-12, 1e-2),
-)
+FIVE_SUBSPACES = "subspaces = q14+, q14-, q34+, q34-, full\n"
+EVERY_SUBSPACE = (*(SubspaceLabel(q, b) for q in (0.25, 0.75) for b in (1, -1)), FULL)
+# full-precision and exponent floats, parsed to the same doubles
+OPTIONAL_KEYS = "eigenpairs = 60\ntail_fraction = 0.30000000000000004\ntolerance = 1e-05\n"
 
 
 class TestConfigFormat:
-    def test_example_config(self):
-        config = parse_sweep_config(GOOD_CONFIG)
-        assert config.omega0_grid == (1.0,)
-        assert config.coupling_spec == RelativeComb(steps=8, lo=0.0, hi=2.0)
-        assert config.subspaces == (SubspaceLabel(0.25, 1),)
-        assert config.cutoff == 1024
-        assert config.requested_eigenpairs == 25
-
-    @given(config_st)
-    @settings(max_examples=100)
-    def test_round_trip(self, config):
-        assert parse_sweep_config(serialize_sweep_config(config)) == config
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            (
+                GOOD_CONFIG,
+                SweepConfig(
+                    (1.0,), (0.5,), RelativeComb(steps=8, lo=0.0, hi=2.0),
+                    (SubspaceLabel(0.25, 1),), 1024,
+                ),
+            ),
+            (
+                "omega0 = 0.30000000000000004, 1e-05\nomega = 1e-05, 2.5\n"
+                "g2 = 0.30000000000000004, 1e-05, 0.0\n" + FIVE_SUBSPACES
+                + "cutoff = 8192\n" + OPTIONAL_KEYS,
+                SweepConfig(
+                    (0.30000000000000004, 1e-05), (1e-05, 2.5),
+                    (0.30000000000000004, 1e-05, 0.0), EVERY_SUBSPACE,
+                    8192, 60, 0.30000000000000004, 1e-05,
+                ),
+            ),
+            (
+                "omega0 = 0\nomega = 0.5\ng2 = grid(1e-05, 0.30000000000000004, 3)\n"
+                + FIVE_SUBSPACES + "cutoff = 64\n" + OPTIONAL_KEYS,
+                SweepConfig(
+                    (0.0,), (0.5,), tuple(np.linspace(1e-05, 0.30000000000000004, 3)),
+                    EVERY_SUBSPACE, 64, 60, 0.30000000000000004, 1e-05,
+                ),
+            ),
+            (
+                "omega0 = 0\nomega = 0.5\ng2_rel = grid(1e-05, 0.30000000000000004, 7)\n"
+                + FIVE_SUBSPACES + "cutoff = 64\n" + OPTIONAL_KEYS,
+                SweepConfig(
+                    (0.0,), (0.5,), RelativeComb(steps=6, lo=1e-05, hi=0.30000000000000004),
+                    EVERY_SUBSPACE, 64, 60, 0.30000000000000004, 1e-05,
+                ),
+            ),
+        ],
+        ids=["example", "lists", "g2-grid", "g2_rel-grid"],
+    )
+    def test_example_config(self, text, expected):
+        assert parse_sweep_config(text) == expected
 
     def test_absolute_couplings_and_lists(self):
         config = parse_sweep_config(
