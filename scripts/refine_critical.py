@@ -4,8 +4,10 @@ followed by a 51-point comb over the bracket [c - step, c] below its hit c.
 Both stages search their comb with refine_collapse: each starts at the
 analytic edge g_c = omega/2, and the two share one row store, so the refine
 stage reuses the coarse rows at both bracket ends instead of solving them
-again. At cutoff 1024 the defaults take 3 probes, one of them solved at all
-k levels.
+again. At cutoff 1024 the defaults take 3 probes, one of them, the coarse
+hit c, solved at all k levels. c is solved at all k levels only when the
+refine stage closes on it; a refine that closes below c leaves it solved
+at its 3 lowest levels.
 
     python scripts/refine_critical.py --omega0 1 --omega 0.5 --cutoff 1024
 """

@@ -8,9 +8,10 @@ Bargmann sector are the same matrix, so a sweep solves each such pair once.
 locate_collapse finds the same point by probing the comb from the analytic
 edge g_c = omega/2 instead of solving all of it, each probe first at its
 PROBE_DEPTH lowest levels; refine_collapse probes a coarse comb, then its
-refine comb, probing no point twice. map_forked is the
-one fork path: sweeps of 8 or more distinct solves run them in forked
-processes and get them back in grid order.
+refine comb, probing no point twice and solving the coarse hit at all
+levels only when the refine closes on it. map_forked is the one fork
+path: sweeps of 8 or more distinct solves run them in forked processes and
+get them back in grid order.
 """
 
 from __future__ import annotations
@@ -468,9 +469,10 @@ def locate_collapse(
     that solve succeeds and its row is not collapsed (SweepRow.collapsed),
     all k levels could only add converged ones, so the probe stops there. A
     collapsed or failed probe is solved again at all k levels, which gives
-    exactly the row run_sweep lists. The search keeps lo uncollapsed and hi
-    collapsed until they are adjacent, starting from the virtual bracket
-    lo = -1 (before the comb), hi = n (past it). Its first probe
+    exactly the row run_sweep lists (refine_collapse's coarse stage may put
+    this off for its first probe; see there). The search keeps lo
+    uncollapsed and hi collapsed until they are adjacent, starting from the
+    virtual bracket lo = -1 (before the comb), hi = n (past it). Its first probe
     is the analytic edge, the first point at or above critical_coupling(omega),
     when that lies past the first comb point; from there it gallops away from
     the verdict (1, 3, 7, ... points down from a collapsed probe, up from an
@@ -501,39 +503,85 @@ def refine_collapse(
 ) -> tuple[CollapseEstimate, CollapseEstimate]:
     """(coarse, refined): locate_collapse on config, then, if coarse is found, on
     refine_comb(config, coarse). Both stages share one row store keyed by
-    _solve_key, which holds the refine comb's ends: no point is probed twice."""
+    _solve_key, which holds the refine comb's ends: no point is probed twice.
+
+    The coarse stage holds its first probe, at the analytic edge, when that
+    probe collapses at PROBE_DEPTH levels: the held row is solved at all k
+    levels right away only if the next probe, one point below, collapses or
+    fails. Otherwise the held edge is the coarse hit c, the refine comb's
+    last point, and c is solved at all k levels only if the refine stage
+    closes on it; a refine that closes below c brackets the drop without
+    that solve. Should c then prove not collapsed at k levels, the coarse
+    search resumes from the store and the refine stage runs again, which
+    gives the chained searches' pair. That adds one limit to
+    locate_collapse's, from the same assumption that converged counts never
+    rise along the comb: when c collapses at PROBE_DEPTH levels but not at k
+    while a refine point below it collapses at k, this reports c where the
+    chained searches move past it.
+    """
     store: dict[tuple, tuple[SweepRow, bool]] = {}
-    coarse = _search(config, omega0, omega, subspace, store)
-    if not coarse.found:
-        return coarse, CollapseEstimate()
-    return coarse, _search(refine_comb(config, coarse), omega0, omega, subspace, store)
+    coarse = _search(config, omega0, omega, subspace, store, hold=True)
+    while coarse.found:
+        refined = _search(refine_comb(config, coarse), omega0, omega, subspace, store)
+        held = [key for key, entry in store.items() if _held(entry)]
+        if refined.coupling != coarse.coupling or not held:
+            return coarse, refined
+        (key,) = held  # the coarse hit, which the refine closed on
+        row = store[key][0]
+        store[key] = _solve_point(config, row.omega0, row.omega, row.g2, row.subspace), True
+        if store[key][0].collapsed:
+            return coarse, refined
+        # the resumed search reads c first, as its own first probe
+        coarse = _search(config, omega0, omega, subspace, store, charged=(key,))
+    return coarse, CollapseEstimate()
+
+
+def _held(entry: tuple[SweepRow, bool]) -> bool:
+    """Whether a store entry (row, deep) is a held row: collapsed at
+    PROBE_DEPTH levels and not solved at all k levels yet."""
+    row, deep = entry
+    return row.collapsed and not deep
 
 
 def _search(
-    config: SweepConfig, omega0: float, omega: float, subspace: Optional[Subspace], store: dict
+    config: SweepConfig,
+    omega0: float,
+    omega: float,
+    subspace: Optional[Subspace],
+    store: dict,
+    hold: bool = False,
+    charged: tuple = (),
 ) -> CollapseEstimate:
     """locate_collapse, probing a point only when store lacks its _solve_key.
 
     store maps a key to (row, deep): deep when the row was solved at all
-    config.requested_eigenpairs levels, as _solve_point(config, ...) gives it."""
+    config.requested_eigenpairs levels, as _solve_point(config, ...) gives it.
+    With hold, a first probe at the analytic edge that collapses at
+    PROBE_DEPTH levels is held: stored as its shallow row, the one kind of
+    row that is collapsed and not deep. The next probe solves it at all k
+    levels if that probe collapses or fails; should it then prove not
+    collapsed, the search starts over from store. The probe budget charges
+    reading the stored rows whose keys are in charged (the edge a restarted
+    search reads first) as if they were solved then."""
     points, couplings = _comb_slice(config, _grid_points(config), omega0, omega, subspace)
-    n, stored = len(couplings), len(store)
+    n = len(couplings)
+    free = store.keys() - set(charged)
     probed: dict[int, tuple[SweepRow, bool]] = {}
     whole = config.requested_eigenpairs <= PROBE_DEPTH  # the shallow solve holds all k
     shallow = config if whole else replace(config, requested_eigenpairs=PROBE_DEPTH)
 
-    def probe(point: GridPoint) -> tuple[SweepRow, bool]:
+    def probe(point: GridPoint, hold: bool) -> tuple[SweepRow, bool]:
         # a solved row that is not collapsed stays so: more levels can only
         # add converged ones
         row = _solve_point(shallow, *point)
-        if whole or (row.error is None and not row.collapsed):
+        if whole or (row.error is None and (hold or not row.collapsed)):
             return row, whole
         return _solve_point(config, *point), True
 
-    def row(i: int) -> SweepRow:
+    def row(i: int, hold: bool = False) -> SweepRow:
         key = _solve_key(points[i])
         if key not in store:
-            store[key] = probe(points[i])
+            store[key] = probe(points[i], hold)
         probed[i] = store[key]
         return probed[i][0]
 
@@ -546,13 +594,23 @@ def _search(
     # the first target and gallop step; a step of n goes from the first point
     # straight to the last
     target, step = (edge, 1) if 0 < edge < n else (0, n)
+    hold = hold and 0 < edge < n  # with a point below the edge to probe next
     lo, hi = -1, n
     while hi - lo > 1:
         # the widest bracket the probes left after this one can bisect shut;
-        # rows the store held on entry cost nothing
-        reach = 2 ** (budget - (len(store) - stored) - 1)
+        # free rows, which the store held on entry, cost nothing
+        reach = 2 ** (budget - sum(_solve_key(points[i]) not in free for i in probed) - 1)
         target = min(max(target, hi - reach, lo + 1), lo + reach, hi - 1)
-        if row(target).collapsed:
+        verdict = row(target, hold and not probed)  # only the first probe is held
+        if hold and target != edge and _held(probed[edge]) and (
+            verdict.collapsed or verdict.error is not None
+        ):
+            # the probe below the held edge does not close the bracket on it
+            key = _solve_key(points[edge])
+            store[key] = probed[edge] = _solve_point(config, *points[edge]), True
+            if not probed[edge][0].collapsed:
+                return _search(config, omega0, omega, subspace, store, charged=(key,))
+        if verdict.collapsed:
             hi = target
         else:
             lo = target

@@ -239,24 +239,33 @@ def resolved(calls):
     return [point for point, depth in calls if depth > PROBE_DEPTH]
 
 
-def crafted_comb(monkeypatch, counts, failed=(), edge=24):
+def crafted_comb(monkeypatch, counts, failed=(), edge=24, shallow=None, fine=None):
     """A comb whose _solve_point rows carry the given counts, capped at the
     levels each call requests (failed indices become failure rows). Returns
     the config, the scan's estimate over every row, and the list that records
     (index, requested levels) of every call from then on.
 
     The couplings are 0.01 apart, the one at index edge being
-    critical_coupling(0.5) = 0.25; an edge off the comb leaves g_c outside."""
+    critical_coupling(0.5) = 0.25; an edge off the comb leaves g_c outside.
+    shallow maps an index to the count its PROBE_DEPTH-level solves give
+    instead. With fine, every point off the comb (a refine comb's inner
+    points) has that count, and its calls record the coupling for the index."""
     couplings = tuple(0.25 + 0.01 * (i - edge) for i in range(len(counts)))
     config = SweepConfig((1.0,), (0.5,), couplings, (Q14P,), 1024)
     calls = []
 
     def fake(cfg, omega0, omega, g2, subspace):
+        levels = cfg.requested_eigenpairs
+        if fine is not None and g2 not in couplings:
+            calls.append((g2, levels))
+            return make_row(g2, min(fine, levels))
         i = couplings.index(g2)
-        calls.append((i, cfg.requested_eigenpairs))
+        calls.append((i, levels))
         if i in failed:
             return make_row(g2, FAILURE_COUNT, error="ValueError: boom")
-        return make_row(g2, min(counts[i], cfg.requested_eigenpairs))
+        if levels == PROBE_DEPTH and i in (shallow or {}):
+            return make_row(g2, shallow[i])
+        return make_row(g2, min(counts[i], levels))
 
     monkeypatch.setattr(tprabi.sweep, "_solve_point", fake)
     rows = [fake(config, 1.0, 0.5, g, Q14P) for g in couplings]
@@ -979,8 +988,11 @@ class TestRefineIntegration:
         assert resolved(calls) == [probes[0], probes[0]]
         calls.clear()
         assert refine_collapse(config, 1.0, 0.5) == (coarse, refined)
-        # 3 probes; only the collapsed coarse hit is solved at all k levels
-        assert len(probed(calls)) == 3 and resolved(calls) == probed(calls)[:1]
+        # 3 probes; only the collapsed coarse hit is solved at all k levels,
+        # once, after the refine has closed on it
+        c = probed(calls)[0]
+        assert len(probed(calls)) == 3 and resolved(calls) == [c]
+        assert c.g2 == refined.coupling == coarse.coupling and calls[-1] == (c, 25)
 
     @pytest.mark.parametrize("omega0", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("steps", [8, 200], ids=["9-point", "201-point"])
@@ -1058,6 +1070,104 @@ class TestRefineIntegration:
         # the coarse comb only, each point decided at PROBE_DEPTH levels
         assert sorted(probed(solved)) == list(config.couplings_for(0.5))
         assert resolved(solved) == []
+
+    @pytest.mark.parametrize("omega0", [0.0, 1.0, 2.0])
+    def test_refine_below_c_never_solves_c_at_k(self, monkeypatch, omega0):
+        # the 201-point configs of test_shared_store_keeps_both_answers: the
+        # refined drop lies below c, so that drop brackets it
+        config = SweepConfig(
+            (omega0,), (0.5,), RelativeComb(steps=200, lo=0.0, hi=2.0), (Q14P,), 256
+        )
+        coarse = locate_collapse(config, omega0, 0.5)
+        chained = (coarse, locate_collapse(refine_comb(config, coarse), omega0, 0.5))
+        assert chained[1].coupling < coarse.coupling
+        calls = counted_solves(monkeypatch)
+        assert refine_collapse(config, omega0, 0.5) == chained
+        point = tprabi.sweep.GridPoint(omega0, 0.5, coarse.coupling, Q14P)
+        c = tprabi.sweep._solve_key(point)
+        assert c in probed(calls) and c not in resolved(calls)
+
+    @pytest.mark.parametrize(
+        "below,failed,above",
+        [(25, (), 0), (25, (), 25), (0, (), 0), (25, (23,), 0)],
+        ids=["refine-closes-on-c", "nothing-above-c", "collapsed-below", "failed-below"],
+    )
+    def test_held_hit_uncollapsed_at_k_gives_the_chained_pair(
+        self, monkeypatch, below, failed, above
+    ):
+        # c, the edge at index 24, collapses at PROBE_DEPTH levels (count 1)
+        # but not at k (count 5); the refine comb's inner points do not
+        # collapse, so a refine of c closes on it
+        counts = [25] * 23 + [below, 5] + [above] * 16
+        config, _, calls = crafted_comb(monkeypatch, counts, failed, shallow={24: 1}, fine=25)
+        coarse = locate_collapse(config, 1.0, 0.5)
+        refined = locate_collapse(refine_comb(config, coarse), 1.0, 0.5) if coarse.found else None
+        chained = (coarse, refined or CollapseEstimate())
+        calls.clear()
+        pair = refine_collapse(config, 1.0, 0.5)
+        assert pair == chained
+        assert pair[1].found == pair[0].found  # refine_critical.py formats both
+        assert len(calls) == len(set(calls))
+        # the held hit is solved at k right after a probe below it that
+        # collapses or fails, else only once the refine has closed on it
+        if below <= 1 or failed:
+            assert calls[:4] == [(24, PROBE_DEPTH), (23, PROBE_DEPTH), (23, 25), (24, 25)]
+        else:
+            assert calls[:2] == [(24, PROBE_DEPTH), (23, PROBE_DEPTH)]
+            assert isinstance(calls[calls.index((24, 25)) - 1][0], float)  # a refine point
+
+    @pytest.mark.parametrize("edge", [-1, 0, 4])
+    def test_no_edge_inside_the_comb_holds_nothing(self, monkeypatch, edge):
+        # g_c below the 4-point comb, at its first point or past its last:
+        # no point lies below an edge inside the comb to confirm it, so a
+        # collapsed first probe is solved at k as locate_collapse solves it
+        config, _, calls = crafted_comb(monkeypatch, [1, 0, 0, 0], edge=edge, fine=25)
+        coarse = locate_collapse(config, 1.0, 0.5)
+        chained = (coarse, locate_collapse(refine_comb(config, coarse), 1.0, 0.5))
+        calls.clear()
+        assert refine_collapse(config, 1.0, 0.5) == chained
+        assert calls[:2] == [(0, PROBE_DEPTH), (0, 25)]
+
+    @pytest.mark.parametrize("below", [25, 0])
+    def test_search_restarted_past_a_held_edge_probes_as_locate_collapse(
+        self, monkeypatch, below
+    ):
+        # every comb length, edge and first hit above the edge, whose row
+        # collapses at PROBE_DEPTH levels only, the point below it collapsed
+        # or not: past that point, the coarse probes are locate_collapse's,
+        # in its order
+        for n in range(3, 41):
+            for edge in range(1, n):
+                for hit in range(edge + 1, n + 1):
+                    counts = [25] * (edge - 1) + [below, 5] + [25] * (hit - edge - 1)
+                    counts += [0] * (n - hit)
+                    config, _, calls = crafted_comb(
+                        monkeypatch, counts, edge=edge, shallow={edge: 1}, fine=25
+                    )
+                    coarse = locate_collapse(config, 1.0, 0.5)
+                    searched = probed(calls)
+                    calls.clear()
+                    assert refine_collapse(config, 1.0, 0.5)[0] == coarse, (n, edge, hit)
+                    probes = [i for i in probed(calls) if isinstance(i, int)]
+                    assert probes[:2] == [edge, edge - 1], (n, edge, hit)
+                    assert probes[2:] == [i for i in searched[1:] if i != edge - 1], (
+                        n, edge, hit
+                    )
+
+    def test_uncollapsed_c_over_a_collapsed_refine_point_is_the_documented_limit(
+        self, monkeypatch
+    ):
+        # c, the edge at index 24, collapses at PROBE_DEPTH levels but not at
+        # k, a rise from the refine points below it, which collapse: the
+        # refine closes below c and never solves it at k, so c stays the
+        # coarse hit where the chained searches move on to index 25
+        counts = [25] * 24 + [5] + [0] * 16
+        config, _, calls = crafted_comb(monkeypatch, counts, shallow={24: 1}, fine=0)
+        assert locate_collapse(config, 1.0, 0.5).coupling == config.coupling_spec[25]
+        calls.clear()
+        coarse, refined = refine_collapse(config, 1.0, 0.5)
+        assert coarse.coupling == config.coupling_spec[24] > refined.coupling
+        assert (24, PROBE_DEPTH) in calls and (24, 25) not in calls
 
 
 def record_select_ranges(monkeypatch):
