@@ -480,12 +480,13 @@ def locate_collapse(
     g_c is probed at both ends first, then at midpoints. Every probe is clamped
     so that the bracket it leaves still closes by bisection within the remaining
     budget: the search of an n-point comb never takes more than
-    2 + ceil(log2(n - 1)) probes (10 for 201 points; rows the store held on
-    entry are free), and about two when the comb's edge sits at g_c. It falls
-    back to the plain first-hit scan, reusing the probed rows, when a probe
-    fails, when the last point has not collapsed, or when the counts of the
-    probes solved at all k levels, read in coupling order, ever rise; a probe
-    stopped at PROBE_DEPTH levels has no count to compare.
+    2 + ceil(log2(n - 1)) probes (10 for 201 points; the comb's ends are
+    free when the store holds them on entry), and about two when the comb's
+    edge sits at g_c. It falls back to the plain first-hit scan, reusing the
+    probed rows, when a probe fails, when the last point has not collapsed,
+    or when the counts of the probes solved at all k levels, read in
+    coupling order, ever rise; a probe stopped at PROBE_DEPTH levels has no
+    count to compare.
 
     The answer equals the scan's whenever converged counts never rise along
     the comb (failed rows aside), as on every shipped config. A dip below two
@@ -505,42 +506,31 @@ def refine_collapse(
     refine_comb(config, coarse). Both stages share one row store keyed by
     _solve_key, which holds the refine comb's ends: no point is probed twice.
 
-    The coarse stage holds its first probe, at the analytic edge, when that
-    probe collapses at PROBE_DEPTH levels: the held row is solved at all k
-    levels right away only if the next probe, one point below, collapses or
-    fails. Otherwise the held edge is the coarse hit c, the refine comb's
-    last point, and c is solved at all k levels only if the refine stage
-    closes on it; a refine that closes below c brackets the drop without
-    that solve. Should c then prove not collapsed at k levels, the coarse
-    search resumes from the store and the refine stage runs again, which
-    gives the chained searches' pair. That adds one limit to
-    locate_collapse's, from the same assumption that converged counts never
-    rise along the comb: when c collapses at PROBE_DEPTH levels but not at k
-    while a refine point below it collapses at k, this reports c where the
-    chained searches move past it.
+    The coarse stage may hold its hit c at c's PROBE_DEPTH-level row (see
+    _search); c, the refine comb's last point, is then solved at all k
+    levels only if the refine stage closes on it. Should c prove not
+    collapsed there, both stages run again over the store, which gives the
+    chained searches' pair. That adds one limit to locate_collapse's, from
+    the same assumption that converged counts never rise along the comb:
+    when c collapses at PROBE_DEPTH levels but not at k while a refine point
+    below it collapses at k, this reports c where the chained searches move
+    past it.
     """
     store: dict[tuple, tuple[SweepRow, bool]] = {}
     coarse = _search(config, omega0, omega, subspace, store, hold=True)
     while coarse.found:
         refined = _search(refine_comb(config, coarse), omega0, omega, subspace, store)
-        held = [key for key, entry in store.items() if _held(entry)]
+        # a held c is the one stored row that is collapsed and not deep
+        held = [key for key, (row, deep) in store.items() if row.collapsed and not deep]
         if refined.coupling != coarse.coupling or not held:
             return coarse, refined
-        (key,) = held  # the coarse hit, which the refine closed on
+        (key,) = held  # the refine closed on c
         row = store[key][0]
         store[key] = _solve_point(config, row.omega0, row.omega, row.g2, row.subspace), True
         if store[key][0].collapsed:
             return coarse, refined
-        # the resumed search reads c first, as its own first probe
-        coarse = _search(config, omega0, omega, subspace, store, charged=(key,))
+        coarse = _search(config, omega0, omega, subspace, store)
     return coarse, CollapseEstimate()
-
-
-def _held(entry: tuple[SweepRow, bool]) -> bool:
-    """Whether a store entry (row, deep) is a held row: collapsed at
-    PROBE_DEPTH levels and not solved at all k levels yet."""
-    row, deep = entry
-    return row.collapsed and not deep
 
 
 def _search(
@@ -550,38 +540,40 @@ def _search(
     subspace: Optional[Subspace],
     store: dict,
     hold: bool = False,
-    charged: tuple = (),
 ) -> CollapseEstimate:
     """locate_collapse, probing a point only when store lacks its _solve_key.
 
     store maps a key to (row, deep): deep when the row was solved at all
     config.requested_eigenpairs levels, as _solve_point(config, ...) gives it.
-    With hold, a first probe at the analytic edge that collapses at
-    PROBE_DEPTH levels is held: stored as its shallow row, the one kind of
-    row that is collapsed and not deep. The next probe solves it at all k
-    levels if that probe collapses or fails; should it then prove not
-    collapsed, the search starts over from store. The probe budget charges
-    reading the stored rows whose keys are in charged (the edge a restarted
-    search reads first) as if they were solved then."""
+    A stored row costs probe budget as a solve does, except at the comb's two
+    ends when the store held them on entry: a refine comb's ends are its
+    coarse bracket. With hold (refine_collapse's coarse stage, store empty),
+    an analytic edge inside the comb is settled before the probe loop: when
+    its PROBE_DEPTH-level row collapses and the point below it, probed, is
+    solved and not collapsed, the edge is returned as the hit and stored as
+    that shallow row, the one kind of row that is collapsed and not deep.
+    Otherwise the edge is stored as any probe is, and the loop, which probes
+    it first, reads it and the point below from store."""
     points, couplings = _comb_slice(config, _grid_points(config), omega0, omega, subspace)
     n = len(couplings)
-    free = store.keys() - set(charged)
+    # the only stored rows that cost no budget: a refine comb's coarse bracket
+    free = store.keys() & {_solve_key(points[0]), _solve_key(points[-1])}
     probed: dict[int, tuple[SweepRow, bool]] = {}
     whole = config.requested_eigenpairs <= PROBE_DEPTH  # the shallow solve holds all k
     shallow = config if whole else replace(config, requested_eigenpairs=PROBE_DEPTH)
 
-    def probe(point: GridPoint, hold: bool) -> tuple[SweepRow, bool]:
+    def probe(point: GridPoint, row: Optional[SweepRow] = None) -> tuple[SweepRow, bool]:
         # a solved row that is not collapsed stays so: more levels can only
         # add converged ones
-        row = _solve_point(shallow, *point)
-        if whole or (row.error is None and (hold or not row.collapsed)):
+        row = _solve_point(shallow, *point) if row is None else row
+        if whole or (row.error is None and not row.collapsed):
             return row, whole
         return _solve_point(config, *point), True
 
-    def row(i: int, hold: bool = False) -> SweepRow:
+    def row(i: int) -> SweepRow:
         key = _solve_key(points[i])
         if key not in store:
-            store[key] = probe(points[i], hold)
+            store[key] = probe(points[i])
         probed[i] = store[key]
         return probed[i][0]
 
@@ -591,25 +583,23 @@ def _search(
     budget = 2 + math.ceil(math.log2(n - 1))
     # an absolute comb may come with omega <= 0 (every row fails): no edge
     edge = int(np.searchsorted(couplings, critical_coupling(omega))) if omega > 0 else 0
+    if hold and 0 < edge < n and not whole:
+        top = _solve_point(shallow, *points[edge])
+        if top.collapsed:
+            below, _ = store[_solve_key(points[edge - 1])] = probe(points[edge - 1])
+            if below.error is None and not below.collapsed:
+                store[_solve_key(points[edge])] = top, False
+                return _estimate_at(couplings, edge)
+        store[_solve_key(points[edge])] = probe(points[edge], top)
     # the first target and gallop step; a step of n goes from the first point
     # straight to the last
     target, step = (edge, 1) if 0 < edge < n else (0, n)
-    hold = hold and 0 < edge < n  # with a point below the edge to probe next
     lo, hi = -1, n
     while hi - lo > 1:
-        # the widest bracket the probes left after this one can bisect shut;
-        # free rows, which the store held on entry, cost nothing
+        # the widest bracket the probes left after this one can bisect shut
         reach = 2 ** (budget - sum(_solve_key(points[i]) not in free for i in probed) - 1)
         target = min(max(target, hi - reach, lo + 1), lo + reach, hi - 1)
-        verdict = row(target, hold and not probed)  # only the first probe is held
-        if hold and target != edge and _held(probed[edge]) and (
-            verdict.collapsed or verdict.error is not None
-        ):
-            # the probe below the held edge does not close the bracket on it
-            key = _solve_key(points[edge])
-            store[key] = probed[edge] = _solve_point(config, *points[edge]), True
-            if not probed[edge][0].collapsed:
-                return _search(config, omega0, omega, subspace, store, charged=(key,))
+        verdict = row(target)
         if verdict.collapsed:
             hi = target
         else:

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tprabi.sweep
 from tprabi import (
@@ -944,6 +946,50 @@ def counted_solves(monkeypatch):
     return keys
 
 
+@st.composite
+def crafted_cases(draw):
+    """crafted_comb's (counts, failed, edge, shallow, fine) and a
+    requested_eigenpairs k: counts fall, or have rises, failed rows and
+    depth-3-only collapses drawn in. edge stays below 25, so the first
+    coupling is above 0, where refine_comb takes a hit."""
+    n = draw(st.integers(2, 60))
+    edge = draw(st.integers(-1, 24))
+    # half the first hits lie next to the edge, where the coarse stage holds it
+    near = st.integers(edge - 1, edge + 1).map(lambda i: min(max(i, 0), n))
+    hit = draw(st.one_of(st.integers(0, n), near))
+    index = st.integers(0, n - 1)
+    counts = sorted(draw(st.lists(st.integers(2, 25), min_size=hit, max_size=hit)), reverse=True)
+    counts += [draw(st.integers(0, 1))] * (n - hit)
+    failed, shallow = (), {}
+    if draw(st.booleans()):  # else the counts only fall
+        for i, count in draw(st.dictionaries(index, st.integers(0, 25), max_size=2)).items():
+            counts[i] = count
+        failed = tuple(draw(st.sets(index, max_size=2)))
+        shallow = draw(st.dictionaries(index, st.integers(0, 1), max_size=2))
+    k = draw(st.sampled_from([2, 3, 25]))
+    fine = draw(st.sampled_from([0, 1, 5, 25]))
+    return counts, failed, edge, shallow, k, fine
+
+
+def crafted_scan(config):
+    """The rows the patched _solve_point gives every point of config's
+    comb, and their scan's estimate; the calls are recorded too."""
+    rows = [tprabi.sweep._solve_point(config, 1.0, 0.5, g, Q14P) for g in config.coupling_spec]
+    return rows, detect_collapse(SweepResult(config, tuple(rows)), 1.0, 0.5)
+
+
+def settles(rows, shallow_rows):
+    """Whether a comb meets the search's assumptions: converged counts never
+    rise (a failed row's FAILURE_COUNT included), the last row collapses,
+    and every PROBE_DEPTH-level verdict is the k-level one."""
+    counts = [row.converged_count for row in rows]
+    return (
+        all(b <= a for a, b in zip(counts, counts[1:]))
+        and rows[-1].collapsed
+        and all(s.collapsed == r.collapsed for r, s in zip(rows, shallow_rows))
+    )
+
+
 class TestRefineIntegration:
     def test_refined_estimate_tightens_to_known_critical_point(self):
         config = SweepConfig(
@@ -1168,6 +1214,83 @@ class TestRefineIntegration:
         coarse, refined = refine_collapse(config, 1.0, 0.5)
         assert coarse.coupling == config.coupling_spec[24] > refined.coupling
         assert (24, PROBE_DEPTH) in calls and (24, 25) not in calls
+
+    @given(crafted_cases())
+    def test_crafted_combs_solve_each_depth_once_and_settle_on_the_scans(self, case):
+        counts, failed, edge, shallow, k, fine = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            config, _, calls = crafted_comb(monkeypatch, counts, failed, edge, shallow, fine)
+            config = dataclasses.replace(config, requested_eigenpairs=k)
+            rows, scan = crafted_scan(config)
+            shallow_rows, _ = crafted_scan(
+                dataclasses.replace(config, requested_eigenpairs=min(k, PROBE_DEPTH))
+            )
+            fine_rows, fine_scan = ((), None)
+            if scan.found:
+                fine_rows, fine_scan = crafted_scan(refine_comb(config, scan))
+            calls.clear()
+            coarse, refined = refine_collapse(config, 1.0, 0.5)
+        assert len(calls) == len(set(calls))
+        assert refined.found == coarse.found
+        if settles(rows, shallow_rows) and settles(fine_rows, fine_rows):
+            assert (coarse, refined) == (scan, fine_scan)
+            n = len(counts)
+            solved = {i for i, _ in calls if isinstance(i, int)}  # the coarse points
+            assert len(solved) <= 2 + math.ceil(math.log2(n - 1))
+
+
+class TestSearchStore:
+    """A stored row costs the search's probe budget as a solve does, except
+    at the comb's two ends when the store holds them on entry."""
+
+    def test_stored_inner_row_is_read_where_it_was_probed(self, monkeypatch):
+        # every comb length, monotone first hit and edge; each inner probe
+        # of the search over an empty store, stored alone, is read in its
+        # place and charged: the other probes come in the same order
+        for n in range(3, 34):
+            for hit in range(1, n):
+                counts = [25] * hit + [0] * (n - hit)
+                for edge in (0, n // 2, n - 1):
+                    config, scan, calls = crafted_comb(monkeypatch, counts, edge=edge)
+                    store = {}
+                    assert tprabi.sweep._search(config, 1.0, 0.5, None, store) == scan
+                    probes = probed(calls)
+                    points = tprabi.sweep._grid_points(config)
+                    for i in (i for i in probes if 0 < i < n - 1):
+                        key = tprabi.sweep._solve_key(points[i])
+                        calls.clear()
+                        estimate = tprabi.sweep._search(config, 1.0, 0.5, None, {key: store[key]})
+                        assert estimate == scan, (n, hit, edge, i)
+                        assert probed(calls) == [j for j in probes if j != i], (n, hit, edge, i)
+                        assert i not in [j for j, _ in calls]
+
+    def test_stored_refine_comb_ends_are_free(self, monkeypatch):
+        # the 51-point refine comb of a coarse hit c = g_c, its ends (the
+        # coarse bracket) stored: the search reads c, collapsed, then
+        # gallops down from it, and may still solve 2 + ceil(log2(50)) = 8
+        # points, as it does for the hit at 2
+        coarse = SweepConfig((1.0,), (0.5,), (0.24, 0.25), (Q14P,), 1024)
+        fine = refine_comb(coarse, CollapseEstimate(0.25, 0.01))
+        couplings = fine.coupling_spec
+        points = tprabi.sweep._grid_points(fine)
+        for hit in range(1, 51):
+            calls = []
+
+            def fake(cfg, omega0, omega, g2, subspace):
+                i = couplings.index(g2)
+                calls.append((i, cfg.requested_eigenpairs))
+                return make_row(g2, min(25 if i < hit else 0, cfg.requested_eigenpairs))
+
+            monkeypatch.setattr(tprabi.sweep, "_solve_point", fake)
+            ends = (points[0], points[50])
+            store = {tprabi.sweep._solve_key(p): (fake(fine, *p), True) for p in ends}
+            calls.clear()
+            estimate = tprabi.sweep._search(fine, 1.0, 0.5, None, store)
+            assert estimate.coupling == couplings[hit]
+            assert {i for i, _ in calls}.isdisjoint({0, 50})
+            assert len(probed(calls)) <= 8
+            if hit == 2:
+                assert probed(calls) == [49, 47, 31, 15, 7, 3, 1, 2]
 
 
 def record_select_ranges(monkeypatch):
