@@ -38,7 +38,7 @@ from .model import (
     _check_cutoff,
     build_full_fock,
     build_phase_space,
-    build_rotated_fock,
+    rotation_gauge_deviation,
     subspace_from_name,
 )
 from .solver import (
@@ -348,8 +348,7 @@ def _oracle_values(build: Callable, cutoff: int, point: tuple[float, float, floa
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    # below 32 too few pairs pass the filter at the alignment point, and that
-    # check reads inf (FAIL) on every seed
+    # below 32 too few pairs pass the filter at the alignment point: inf on every seed
     if args.cutoff < 32:
         raise UsageError(f"cutoff must be >= 32, got {args.cutoff}")
     if args.seed < 0:
@@ -360,30 +359,30 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         partial(_oracle_alignment, cutoff, p)
         for p in [(1.0, 0.5, 0.0), (1.0, 0.5, 0.1), (1.0, 0.5, 0.2), _oracle_point(rng)]
     )
-    # the rotation chain: full-Fock, phase-space and rotated solves at each point
-    chained = [(1.0, 0.5, 0.2), _oracle_point(rng)]
-    builds = (build_full_fock, build_phase_space, build_rotated_fock)
-    dense = (fa, pa, ra), (fb, pb, rb) = [
-        [partial(_oracle_values, build, cutoff, p) for build in builds] for p in chained
-    ]
+    # the rotation chain: a full-Fock and a phase-space solve at each point
+    chained, builds = [(1.0, 0.5, 0.2), _oracle_point(rng)], (build_full_fock, build_phase_space)
+    fa, pa, fb, pb = (partial(_oracle_values, b, cutoff, p) for p in chained for b in builds)
     dg, hg = partial(_oracle_degenerate, cutoff), partial(_oracle_hermite_gauss, cutoff)
-    # twelve independent tasks through the sweep's fork path, which cuts them
-    # into contiguous shares of equal count; listed so that those shares carry
-    # about equal work on 2, 3 and 4 CPUs (cutoff 128, one BLAS thread: an
-    # alignment ~50 ms, a complex rotated solve ~31 ms, a full-Fock or
-    # phase-space solve ~9 ms), none of the rotated in the calling process's
-    tasks = [a1, fa, pa, a2, a0, fb, a3, dg, hg, ra, pb, rb]
+
+    def gauge():  # the rotated form against the phase-space form, by their exact gauge
+        return [rotation_gauge_deviation(ModelParams(*p), 2 * cutoff) for p in chained]
+
+    # eleven independent tasks through the sweep's fork path, in contiguous
+    # shares of equal count, listed to even out the shares' work on 2, 3 and 4
+    # CPUs (cutoff 128, one BLAS thread: an alignment 45-90 ms, any other task
+    # 14-30 ms, the gauge 0.5 ms); the gauge, whose complex arithmetic raised
+    # the peak RSS of the process that ran it, comes last, in a child's share
+    tasks = [a1, fa, a0, dg, pa, a2, fb, pb, a3, hg, gauge]
     r = dict(zip(tasks, map_forked(operator.call, tasks, per_worker=1)))
-    chain = [  # the full model, shifted by omega / 2, against the other two forms
-        np.abs(np.add(r[full], p[1] / 2.0) - r[other])
-        for p, (full, *others) in zip(chained, dense)
-        for other in others
+    chain = [  # the full model, shifted by omega / 2, against the phase-space form
+        np.max(np.abs(np.add(r[full], p[1] / 2.0) - r[phase]))
+        for p, full, phase in zip(chained, (fa, fb), (pa, pb))
     ]
     checks = {  # a check reads the max of its values, NaN if any is NaN
         "alignment": [r[a0], r[a1], r[a2], r[a3]],
         "degenerate-spectrum": r[dg],
         "hermite-gauss": r[hg],
-        "rotation-chain": chain,
+        "rotation-chain": chain + r[gauge],
     }
     verdicts = []
     for name, values in checks.items():

@@ -171,11 +171,10 @@ def _check_cutoff(cutoff: int) -> None:
 
 
 def _quadrature_bands(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and second off-diagonal of q^2 truncated elementwise.
-
-    q^2 = (2n+1)/2 on the diagonal and sqrt((n+1)(n+2))/2 two steps off it;
-    p^2 shares the diagonal and negates the off-diagonal.
-    """
+    """Diagonal and second off-diagonal of q^2 truncated elementwise, after the
+    cutoff check: q^2 = (2n+1)/2 on the diagonal and sqrt((n+1)(n+2))/2 two
+    steps off it; p^2 shares the diagonal and negates the off-diagonal."""
+    _check_cutoff(cutoff)
     n = np.arange(cutoff, dtype=float)
     diag = n + 0.5
     off2 = np.sqrt((n[: cutoff - 2] + 1.0) * (n[: cutoff - 2] + 2.0)) / 2.0
@@ -229,33 +228,46 @@ def full_fock_chains(params: ModelParams, cutoff: int) -> list[Chain]:
     return chains
 
 
-def build_phase_space(params: ModelParams, cutoff: int) -> HermitianMatrix:
-    """Quadrature form H_y; its spectrum is the full model's plus omega/2.
-
-    Spin-up block (alpha_+ p^2 + alpha_- q^2)/2, spin-down with the alphas
-    swapped, and (omega0/2) sigma_x across the qubit.
-    """
-    _check_cutoff(cutoff)
+def _phase_space_bands(params: ModelParams, cutoff: int) -> tuple:
+    """_assemble's arguments for build_phase_space: spin-up block (alpha_+ p^2 +
+    alpha_- q^2)/2, spin-down with the alphas swapped, (omega0/2) sigma_x across."""
     diag, off2 = _quadrature_bands(cutoff)
     # (alpha_+ + alpha_-)/2 = omega for both spin blocks on the diagonal
     boson = params.omega * diag
-    same = (-2.0 * params.g2 * off2, 2.0 * params.g2 * off2)
-    return _assemble(boson, boson, params.omega0 / 2.0, same)
+    return boson, boson, params.omega0 / 2.0, (-2.0 * params.g2 * off2, 2.0 * params.g2 * off2)
 
 
-def build_rotated_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
-    """Rotated form: common boson block (alpha_+ p^2 + alpha_- q^2)/2 and
-    qubit coupling (omega0/2) through the diagonal Fock-space rotation with
-    phases exp(-i pi (n + 1/2) / 2).
-    """
-    _check_cutoff(cutoff)
+def build_phase_space(params: ModelParams, cutoff: int) -> HermitianMatrix:
+    """Quadrature form H_y; its spectrum is the full model's plus omega/2."""
+    return _assemble(*_phase_space_bands(params, cutoff))
+
+
+def _rotated_bands(params: ModelParams, cutoff: int) -> tuple:
+    """_assemble's arguments for build_rotated_fock: the common boson block
+    (alpha_+ p^2 + alpha_- q^2)/2 and (omega0/2) across the qubit, rotated."""
     diag, off2 = _quadrature_bands(cutoff)
-    boson = params.omega * diag
-    pair = -2.0 * params.g2 * off2
+    boson, pair = params.omega * diag, -2.0 * params.g2 * off2
     # <n, up|H|n, down> = (omega0/2) exp(-i pi diag / 2) with diag = n + 1/2;
     # the cross term <n, down|H|n, up> is its conjugate
     cross = (params.omega0 / 2.0) * np.conj(np.exp(-1j * np.pi * diag / 2.0))
-    return _assemble(boson, boson, cross, (pair, pair))
+    return boson, boson, cross, (pair, pair)
+
+
+def build_rotated_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
+    """Rotated form; the same spectrum as build_phase_space (rotation_gauge_deviation)."""
+    return _assemble(*_rotated_bands(params, cutoff))
+
+
+def rotation_gauge_deviation(params: ModelParams, cutoff: int) -> float:
+    """max |D^dag R D - P| over the bands of the rotated form R and the phase-space
+    form P; D is 1 on |n, up> and d_n = exp(i pi (n + 1/2)/2) on |n, down>. D takes
+    R's cross term to omega0/2 and, as conj(d_{m+2}) d_m = -1, flips its down band."""
+    d = np.exp(0.5j * np.pi * (np.arange(cutoff) + 0.5))
+    up, down, cross, (same_up, same_down) = _rotated_bands(params, cutoff)
+    gauged = [up, down, np.conj(d) * cross, same_up, np.conj(d[2:]) * d[:-2] * same_down]
+    up, down, cross, (same_up, same_down) = _phase_space_bands(params, cutoff)
+    pairs = zip(gauged, [up, down, cross, same_up, same_down])
+    return float(np.max([np.max(np.abs(g - p), initial=0.0) for g, p in pairs]))
 
 
 def build_subspace_tridiagonal(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tprabi.cli
+import tprabi.model
 import tprabi.sweep
 from tprabi import (
     FULL,
@@ -534,6 +535,25 @@ class TestOracleCommand:
     }
 
     @pytest.mark.parametrize("cpus", [1, 2])
+    def test_wrong_rotated_phase_fails_the_rotation_chain(self, monkeypatch, capsys, cpus):
+        real_bands = tprabi.model._rotated_bands
+
+        def one_wrong_phase(params, cutoff):
+            up, down, cross, same = real_bands(params, cutoff)
+            cross = cross.copy()
+            cross[5] *= 1j  # the phase at n = 5 off by pi / 2
+            return up, down, cross, same
+
+        monkeypatch.setattr(tprabi.model, "_rotated_bands", one_wrong_phase)
+        monkeypatch.setattr(tprabi.sweep, "_available_cpus", lambda: cpus)
+        code, out, _ = run_cli(["oracle", "--cutoff", "32", "--seed", "7"], capsys)
+        lines = out.splitlines()
+        # |conj(d_5) * (omega0/2) * exp(i pi (5 + 1/2)/2) * i - omega0/2| at omega0 = 1
+        assert code == 1
+        assert lines[3] == "check rotation-chain: FAIL (max deviation 7.071e-01, tolerance 1e-06)"
+        assert all(": PASS (" in line for line in lines[:3])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("check", list(NAN_INPUTS))
     def test_nan_deviation_fails(self, monkeypatch, capsys, check, cpus):
         name, wrap = self.NAN_INPUTS[check]
@@ -550,7 +570,7 @@ class TestOracleCommand:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedOracle:
-    """The oracle's twelve tasks run through the sweep's fork path: serial on
+    """The oracle's eleven tasks run through the sweep's fork path: serial on
     one CPU, in one contiguous share per CPU on more, with the same bytes
     either way."""
 
@@ -586,13 +606,11 @@ class TestForkedOracle:
         self.assert_no_children()
 
     @pytest.mark.parametrize("cpus", [2, 3, 4])
-    @pytest.mark.parametrize(
-        "builder", ["build_full_fock", "build_phase_space", "build_rotated_fock"]
-    )
+    @pytest.mark.parametrize("builder", ["build_full_fock", "build_phase_space"])
     def test_child_error_maps_as_in_a_serial_run(self, monkeypatch, capsys, forks, builder, cpus):
-        # the calling process's share holds an alignment (full-Fock) and a
-        # phase-space task on 2, 3 and 4 CPUs, so those builders fail there
-        # first; the rotated solves all run in children, which raise here
+        # the calling process's share starts with an alignment (full-Fock) on
+        # 2, 3 and 4 CPUs, so that builder fails there first; a phase-space
+        # solve runs there only on 2 CPUs, and on 3 and 4 the children raise
         def broken(params, dim):
             raise ValueError("no dense basis")
 

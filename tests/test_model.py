@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tprabi.model
 from tprabi import (
     ALL_SUBSPACES,
     FULL,
@@ -24,6 +25,7 @@ from tprabi.model import (
     build_phase_space,
     build_rotated_fock,
     full_fock_chains,
+    rotation_gauge_deviation,
     subspace_from_name,
 )
 
@@ -210,6 +212,36 @@ class TestRotatedFock:
         n = np.arange(4)
         expected = np.exp(-1j * np.pi * (n + 0.5) / 2.0)
         assert np.allclose(np.diag(h[0::2, 1::2]), expected, atol=1e-15)
+
+    @given(params_st, st.integers(2, 80))
+    def test_gauge_identity(self, params, cutoff):
+        # D^dag R D = P, D = 1 on |n, up> and exp(i pi (n + 1/2)/2) on |n, down>:
+        # dense, and band by band, to the rounding of the phases
+        d = np.ones(2 * cutoff, dtype=complex)
+        d[1::2] = np.exp(0.5j * np.pi * (np.arange(cutoff) + 0.5))
+        rotated = build_rotated_fock(params, cutoff).data
+        dense = np.abs(np.conj(d)[:, None] * rotated * d - build_phase_space(params, cutoff).data)
+        scale = params.omega0 + params.omega + params.g2 * cutoff  # |d_n|^2 rounds too
+        bound = 16 * np.finfo(float).eps * cutoff * scale
+        assert np.max(dense) <= bound
+        assert rotation_gauge_deviation(params, cutoff) <= bound
+
+    @pytest.mark.parametrize("band", range(5))
+    def test_gauge_deviation_reads_every_band(self, monkeypatch, band):
+        # one element of one rotated band moved by 0.1: up, down, cross term,
+        # same-spin up and same-spin down band
+        real_bands = tprabi.model._rotated_bands
+
+        def moved(params, cutoff):
+            up, down, cross, (same_up, same_down) = real_bands(params, cutoff)
+            bands = [up.copy(), down.copy(), cross.copy(), same_up.copy(), same_down.copy()]
+            bands[band][3] += 0.1
+            return *bands[:3], tuple(bands[3:])
+
+        params = ModelParams(0.7, 0.5, 0.13)
+        assert rotation_gauge_deviation(params, 16) < 1e-14
+        monkeypatch.setattr(tprabi.model, "_rotated_bands", moved)
+        assert rotation_gauge_deviation(params, 16) == pytest.approx(0.1, rel=1e-12)
 
     def test_spectrum_matches_phase_space(self):
         params = ModelParams(0.9, 0.6, 0.2)

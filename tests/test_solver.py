@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,11 +15,18 @@ from tprabi import (
     build_full_fock,
     build_subspace_tridiagonal,
     convergence_filter,
+    critical_coupling,
     solve_hermitian,
     solve_tridiagonal,
 )
 from tprabi.model import HermitianMatrix, TridiagonalMatrix, full_fock_chains
-from tprabi.solver import EigenPair, align_spectra, solve_chains, tail_norm_of
+from tprabi.solver import (
+    EigenPair,
+    FilteredSpectrum,
+    align_spectra,
+    solve_chains,
+    tail_norm_of,
+)
 
 Q14P = SubspaceLabel(0.25, 1)
 # the one message every solver raises for a solved column that is not unit-norm
@@ -86,6 +94,26 @@ class TestSolveTridiagonal:
     def test_pairs_carry_no_verdict(self):
         pair = solve_tridiagonal(TridiagonalMatrix(np.arange(4.0), np.ones(3)), 2)[0]
         assert [f.name for f in dataclasses.fields(pair)] == ["value", "vector"]
+
+
+class TestAllPairsMRRR:
+    """k = dimension solves by MRRR, any smaller k by bisection; the two give
+    the same values and the same filter verdicts."""
+
+    @pytest.mark.parametrize("cutoff", [64, 1024])
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.999])
+    @pytest.mark.parametrize("label", ALL_SUBSPACES, ids=lambda label: label.name)
+    def test_matches_the_bisection_path(self, label, fraction, cutoff):
+        params = ModelParams(1.0, 0.5, fraction * critical_coupling(0.5))
+        t = build_subspace_tridiagonal(label, params, cutoff)
+        full = convergence_filter(solve_tridiagonal(t, cutoff))
+        values, vectors = scipy.linalg.eigh_tridiagonal(
+            t.diag, t.offdiag, select="i", select_range=(0, cutoff - 1)
+        )
+        bisected = convergence_filter([EigenPair(w, v) for w, v in zip(values, vectors.T)])
+        deviation = [p.value - q.value for p, q in zip(full.pairs, bisected.pairs)]
+        assert np.max(np.abs(deviation)) <= 1e-12 * np.max(np.abs(t.diag))
+        assert np.array_equal(full.converged, bisected.converged)
 
 
 class TestSolveHermitian:
@@ -342,6 +370,9 @@ class TestSharedOffset:
 
     def test_rejects_a_sector_without_converged_values(self):
         full, subs = self._full_and_sectors()
-        subs[1] = convergence_filter(subs[1].pairs, tolerance=1e-300)
+        # every tail above the tolerance; a tolerance of 1e-300 would not do,
+        # since a full-spectrum solve reads some tails as exactly 0
+        pairs = subs[1].pairs
+        subs[1] = FilteredSpectrum(pairs, np.full(len(pairs), 1e-3), 1e-6)
         with pytest.raises(ValueError, match="converged"):
             align_spectra(full, subs)
