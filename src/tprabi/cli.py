@@ -37,7 +37,6 @@ from .model import (
     SubspaceLabel,
     _check_cutoff,
     build_full_fock,
-    build_phase_space,
     rotation_gauge_deviation,
     subspace_from_name,
 )
@@ -342,11 +341,6 @@ def _oracle_hermite_gauss(cutoff: int) -> float:
     return float(np.sqrt(np.trapezoid((numeric - exact) ** 2, x)))
 
 
-def _oracle_values(build: Callable, cutoff: int, point: tuple[float, float, float]) -> list:
-    # the 20 lowest eigenvalues of one dense reference at 2 * cutoff Fock levels
-    return [p.value for p in solve_hermitian(build(ModelParams(*point), 2 * cutoff), 20)]
-
-
 def cmd_oracle(args: argparse.Namespace) -> int:
     # below 32 too few pairs pass the filter at the alignment point: inf on every seed
     if args.cutoff < 32:
@@ -359,30 +353,24 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         partial(_oracle_alignment, cutoff, p)
         for p in [(1.0, 0.5, 0.0), (1.0, 0.5, 0.1), (1.0, 0.5, 0.2), _oracle_point(rng)]
     )
-    # the rotation chain: a full-Fock and a phase-space solve at each point
-    chained, builds = [(1.0, 0.5, 0.2), _oracle_point(rng)], (build_full_fock, build_phase_space)
-    fa, pa, fb, pb = (partial(_oracle_values, b, cutoff, p) for p in chained for b in builds)
+    chained = [(1.0, 0.5, 0.2), _oracle_point(rng)]
     dg, hg = partial(_oracle_degenerate, cutoff), partial(_oracle_hermite_gauss, cutoff)
 
-    def gauge():  # the rotated form against the phase-space form, by their exact gauge
+    def gauge():  # the full-Fock, phase-space and rotated forms, by their exact gauges
         return [rotation_gauge_deviation(ModelParams(*p), 2 * cutoff) for p in chained]
 
-    # eleven independent tasks through the sweep's fork path, in contiguous
-    # shares of equal count, listed to even out the shares' work on 2, 3 and 4
-    # CPUs (cutoff 128, one BLAS thread: an alignment 45-90 ms, any other task
-    # 14-30 ms, the gauge 0.5 ms); the gauge, whose complex arithmetic raised
-    # the peak RSS of the process that ran it, comes last, in a child's share
-    tasks = [a1, fa, a0, dg, pa, a2, fb, pb, a3, hg, gauge]
+    # seven independent tasks through the sweep's fork path, in contiguous shares
+    # of equal count, listed to even out the shares' work on 2, 3 and 4 CPUs (cutoff
+    # 128, one BLAS thread: an alignment 80-100 ms, 45-60 at g2 = 0, the degenerate
+    # ladders 25 ms, Hermite-Gauss 13-22 ms, the gauge 0.5 ms); the gauge, whose complex
+    # arithmetic raised the peak RSS of the process that ran it, is in a child's share
+    tasks = [a1, dg, a0, a2, hg, a3, gauge]
     r = dict(zip(tasks, map_forked(operator.call, tasks, per_worker=1)))
-    chain = [  # the full model, shifted by omega / 2, against the phase-space form
-        np.max(np.abs(np.add(r[full], p[1] / 2.0) - r[phase]))
-        for p, full, phase in zip(chained, (fa, fb), (pa, pb))
-    ]
     checks = {  # a check reads the max of its values, NaN if any is NaN
         "alignment": [r[a0], r[a1], r[a2], r[a3]],
         "degenerate-spectrum": r[dg],
         "hermite-gauss": r[hg],
-        "rotation-chain": chain + r[gauge],
+        "rotation-chain": r[gauge],
     }
     verdicts = []
     for name, values in checks.items():

@@ -198,17 +198,19 @@ def _assemble(up, down, cross=0.0, same=(0.0, 0.0), flip=(0.0, 0.0)) -> Hermitia
     return HermitianMatrix(h + np.triu(h.conj().T, 1))
 
 
-def build_full_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
-    """Full model in the interleaved |n> (x) |up/down> product basis.
-
-    Matrix elements: omega*n +/- omega0/2 on the diagonal and
-    g2*sqrt((n+1)(n+2)) between |n, s> and |n+2, flip(s)>.
-    """
+def _full_fock_bands(params: ModelParams, cutoff: int) -> tuple:
+    """_assemble's arguments for build_full_fock: omega*n +/- omega0/2 on the diagonals
+    and only the spin-flip band, g2*sqrt((n+1)(n+2)) between |n, s> and |n+2, 1-s>."""
     _check_cutoff(cutoff)
     n = np.arange(cutoff, dtype=float)
     boson, half = params.omega * n, params.omega0 / 2.0
     pair = params.g2 * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
-    return _assemble(boson + half, boson - half, flip=(pair, pair))
+    return boson + half, boson - half, 0.0, (0.0, 0.0), (pair, pair)
+
+
+def build_full_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
+    """Full model in the interleaved |n> (x) |up/down> product basis."""
+    return _assemble(*_full_fock_bands(params, cutoff))
 
 
 def full_fock_chains(params: ModelParams, cutoff: int) -> list[Chain]:
@@ -259,15 +261,25 @@ def build_rotated_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
 
 
 def rotation_gauge_deviation(params: ModelParams, cutoff: int) -> float:
-    """max |D^dag R D - P| over the bands of the rotated form R and the phase-space
-    form P; D is 1 on |n, up> and d_n = exp(i pi (n + 1/2)/2) on |n, down>. D takes
-    R's cross term to omega0/2 and, as conj(d_{m+2}) d_m = -1, flips its down band."""
+    """Largest residue, band by band, of the exact gauges that chain the full-Fock form
+    F, the phase-space form P and the rotated form R. F -> P: U = (Hadamard on the
+    qubit) (x) diag(i^n) gives U^dag F U + omega/2 = P, as the Hadamard swaps sigma_z
+    and sigma_x, i^n negates every n -> n+2 band and omega/2 makes omega*n the
+    quadrature diagonal; it is read in real arithmetic as U (P - omega/2) U^dag against
+    F, so one element of F moved by x reads x. P -> R: D is 1 on |n, up> and
+    d_n = exp(i pi (n + 1/2)/2) on |n, down>, and D^dag R D = P; D takes R's cross
+    term to omega0/2 and, as conj(d_{m+2}) d_m = -1, flips its down band."""
+    up, down, cross, (same_up, same_down) = _phase_space_bands(params, cutoff)
+    phase_space = [up, down, cross, same_up, same_down]
+    mean = (up + down - params.omega) / 2.0
+    same, flip = -(same_up + same_down) / 2.0, (same_down - same_up) / 2.0
+    gauged = [mean + cross, mean - cross, (up - down) / 2.0, same, same, flip, flip]
+    up, down, cross, same, flip = _full_fock_bands(params, cutoff)
+    reference = [up, down, cross, *same, *flip, *phase_space]
     d = np.exp(0.5j * np.pi * (np.arange(cutoff) + 0.5))
     up, down, cross, (same_up, same_down) = _rotated_bands(params, cutoff)
-    gauged = [up, down, np.conj(d) * cross, same_up, np.conj(d[2:]) * d[:-2] * same_down]
-    up, down, cross, (same_up, same_down) = _phase_space_bands(params, cutoff)
-    pairs = zip(gauged, [up, down, cross, same_up, same_down])
-    return float(np.max([np.max(np.abs(g - p), initial=0.0) for g, p in pairs]))
+    gauged += [up, down, np.conj(d) * cross, same_up, np.conj(d[2:]) * d[:-2] * same_down]
+    return float(np.max([np.max(np.abs(g - r), initial=0.0) for g, r in zip(gauged, reference)]))
 
 
 def build_subspace_tridiagonal(

@@ -531,7 +531,7 @@ class TestOracleCommand:
             "degenerate_spectrum", lambda real: lambda *a: np.append(real(*a)[:4], np.nan)
         ),
         "hermite-gauss": ("_oracle_hermite_gauss", lambda real: lambda cutoff: np.nan),
-        "rotation-chain": ("_oracle_values", lambda real: lambda *a: [*real(*a)[:-1], np.nan]),
+        "rotation-chain": ("rotation_gauge_deviation", lambda real: lambda *a: np.nan),
     }
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -554,6 +554,26 @@ class TestOracleCommand:
         assert all(": PASS (" in line for line in lines[:3])
 
     @pytest.mark.parametrize("cpus", [1, 2])
+    def test_wrong_phase_space_band_fails_the_rotation_chain(self, monkeypatch, capsys, cpus):
+        real_bands = tprabi.model._phase_space_bands
+
+        def one_wrong_entry(params, cutoff):
+            up, down, cross, (same_up, same_down) = real_bands(params, cutoff)
+            same_down = same_down.copy()
+            same_down[4] += 0.5
+            return up, down, cross, (same_up, same_down)
+
+        monkeypatch.setattr(tprabi.model, "_phase_space_bands", one_wrong_entry)
+        monkeypatch.setattr(tprabi.sweep, "_available_cpus", lambda: cpus)
+        code, out, _ = run_cli(["oracle", "--cutoff", "32", "--seed", "7"], capsys)
+        lines = out.splitlines()
+        # against the rotated form the entry reads 0.5, against the full-Fock form,
+        # which the Hadamard spreads it over, 0.25
+        assert code == 1
+        assert lines[3] == "check rotation-chain: FAIL (max deviation 5.000e-01, tolerance 1e-06)"
+        assert all(": PASS (" in line for line in lines[:3])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("check", list(NAN_INPUTS))
     def test_nan_deviation_fails(self, monkeypatch, capsys, check, cpus):
         name, wrap = self.NAN_INPUTS[check]
@@ -570,7 +590,7 @@ class TestOracleCommand:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedOracle:
-    """The oracle's eleven tasks run through the sweep's fork path: serial on
+    """The oracle's seven tasks run through the sweep's fork path: serial on
     one CPU, in one contiguous share per CPU on more, with the same bytes
     either way."""
 
@@ -606,15 +626,17 @@ class TestForkedOracle:
         self.assert_no_children()
 
     @pytest.mark.parametrize("cpus", [2, 3, 4])
-    @pytest.mark.parametrize("builder", ["build_full_fock", "build_phase_space"])
-    def test_child_error_maps_as_in_a_serial_run(self, monkeypatch, capsys, forks, builder, cpus):
+    @pytest.mark.parametrize(
+        "target", ["tprabi.cli.build_full_fock", "tprabi.model._phase_space_bands"]
+    )
+    def test_child_error_maps_as_in_a_serial_run(self, monkeypatch, capsys, forks, target, cpus):
         # the calling process's share starts with an alignment (full-Fock) on
-        # 2, 3 and 4 CPUs, so that builder fails there first; a phase-space
-        # solve runs there only on 2 CPUs, and on 3 and 4 the children raise
-        def broken(params, dim):
+        # 2, 3 and 4 CPUs, so build_full_fock fails there first; only the gauge
+        # reads the phase-space bands, and it runs in the last share, a child's
+        def broken(params, cutoff):
             raise ValueError("no dense basis")
 
-        monkeypatch.setattr(tprabi.cli, builder, broken)
+        monkeypatch.setattr(target, broken)
         serial = self.run_on(1, monkeypatch, capsys)
         assert serial == (1, "", "error: no dense basis\n")
         assert self.run_on(cpus, monkeypatch, capsys) == serial

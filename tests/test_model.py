@@ -215,32 +215,44 @@ class TestRotatedFock:
 
     @given(params_st, st.integers(2, 80))
     def test_gauge_identity(self, params, cutoff):
+        # U^dag F U + omega/2 = P, U = (Hadamard on the qubit) (x) diag(i^n), and
         # D^dag R D = P, D = 1 on |n, up> and exp(i pi (n + 1/2)/2) on |n, down>:
         # dense, and band by band, to the rounding of the phases
+        phase_space = build_phase_space(params, cutoff).data
+        u = np.kron(np.diag(np.array([1, 1j, -1, -1j])[np.arange(cutoff) % 4]), [[1, 1], [1, -1]])
+        gauged = u.conj().T @ build_full_fock(params, cutoff).data @ u / 2.0
+        gauged[np.diag_indices(2 * cutoff)] += params.omega / 2.0
         d = np.ones(2 * cutoff, dtype=complex)
         d[1::2] = np.exp(0.5j * np.pi * (np.arange(cutoff) + 0.5))
         rotated = build_rotated_fock(params, cutoff).data
-        dense = np.abs(np.conj(d)[:, None] * rotated * d - build_phase_space(params, cutoff).data)
         scale = params.omega0 + params.omega + params.g2 * cutoff  # |d_n|^2 rounds too
         bound = 16 * np.finfo(float).eps * cutoff * scale
-        assert np.max(dense) <= bound
+        assert np.max(np.abs(gauged - phase_space)) <= bound
+        assert np.max(np.abs(np.conj(d)[:, None] * rotated * d - phase_space)) <= bound
         assert rotation_gauge_deviation(params, cutoff) <= bound
 
-    @pytest.mark.parametrize("band", range(5))
-    def test_gauge_deviation_reads_every_band(self, monkeypatch, band):
-        # one element of one rotated band moved by 0.1: up, down, cross term,
-        # same-spin up and same-spin down band
-        real_bands = tprabi.model._rotated_bands
+    # every array band of each form: up, down, the rotated cross term, then the
+    # same-spin bands of the rotated and phase-space forms and the spin-flip
+    # bands of the full-Fock form, each for s = up, down
+    @pytest.mark.parametrize(
+        "form,band",
+        [("_rotated_bands", b) for b in range(5)]
+        + [("_phase_space_bands", b) for b in (0, 1, 3, 4)]
+        + [("_full_fock_bands", b) for b in (0, 1, 5, 6)],
+    )
+    def test_gauge_deviation_reads_every_band(self, monkeypatch, form, band):
+        # one element of one band moved by 0.1 reads 0.1
+        real_bands = getattr(tprabi.model, form)
 
         def moved(params, cutoff):
-            up, down, cross, (same_up, same_down) = real_bands(params, cutoff)
-            bands = [up.copy(), down.copy(), cross.copy(), same_up.copy(), same_down.copy()]
-            bands[band][3] += 0.1
-            return *bands[:3], tuple(bands[3:])
+            up, down, cross, *spin_pairs = real_bands(params, cutoff)
+            bands = [up, down, cross, *(b for pair in spin_pairs for b in pair)]
+            bands[band] = bands[band] + 0.1 * (np.arange(len(bands[band])) == 3)
+            return *bands[:3], *zip(bands[3::2], bands[4::2])
 
         params = ModelParams(0.7, 0.5, 0.13)
         assert rotation_gauge_deviation(params, 16) < 1e-14
-        monkeypatch.setattr(tprabi.model, "_rotated_bands", moved)
+        monkeypatch.setattr(tprabi.model, form, moved)
         assert rotation_gauge_deviation(params, 16) == pytest.approx(0.1, rel=1e-12)
 
     def test_spectrum_matches_phase_space(self):
