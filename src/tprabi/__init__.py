@@ -1,6 +1,6 @@
 """Spectral collapse in the two-photon quantum Rabi model.
 
-Truncated-basis Hamiltonian builders, dense and tridiagonal eigensolvers
+Truncated-basis Hamiltonian builders, banded and tridiagonal eigensolvers
 with a tail-norm convergence filter, closed-form results for the degenerate
 regime, and coupling sweeps that locate the collapse point g_c = omega / 2.
 

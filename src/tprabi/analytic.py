@@ -148,10 +148,10 @@ def plane_wave(lam: float, sign: int, x: Sequence[float]) -> np.ndarray:
 def kummer_1f1(a: float, b: float, z: float) -> float:
     """Confluent hypergeometric 1F1(a; b; z) by power series.
 
-    Terminates exactly for non-positive-integer a; otherwise sums until the
-    running term drops below 1e-14 of the total. Negative arguments route
-    through the Kummer transform 1F1(a;b;z) = e^z 1F1(b-a;b;-z) to avoid
-    alternating-series cancellation.
+    Terminates exactly for non-positive-integer a; otherwise sums until the running
+    term drops below 1e-14 of the total and the next term is no larger (a tiny a makes
+    the first terms tiny, z grows later ones). Negative arguments route through the
+    Kummer transform 1F1(a;b;z) = e^z 1F1(b-a;b;-z) against alternating-series cancellation.
     """
     if not all(map(math.isfinite, (a, b, z))):
         raise ValueError(f"arguments must be finite, got {(a, b, z)}")
@@ -171,7 +171,8 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         total += term
         k += 1
-        if not terminating and abs(term) <= 1e-14 * abs(total):
+        shrinking = abs((a + k) * z) <= abs((b + k) * (k + 1.0))
+        if not terminating and shrinking and abs(term) <= 1e-14 * abs(total):
             return total
         if k > 100000:
             raise ValueError(f"series failed to converge for {(a, b, z)}")

@@ -36,7 +36,7 @@ from .model import (
     Subspace,
     SubspaceLabel,
     _check_cutoff,
-    build_full_fock,
+    full_fock_band,
     rotation_gauge_deviation,
     subspace_from_name,
 )
@@ -46,7 +46,7 @@ from .solver import (
     align_spectra,
     check_filter_settings,
     convergence_filter,
-    solve_hermitian,
+    solve_band,
 )
 from .sweep import (
     RelativeComb,
@@ -312,7 +312,7 @@ def _oracle_alignment(cutoff: int, point: tuple[float, float, float]) -> float:
     params = ModelParams(*point)
     # every eigenpair of the unsplit matrix: solve_point's chains are the sectors
     full = convergence_filter(
-        solve_hermitian(build_full_fock(params, 2 * cutoff), 4 * cutoff), qubit_dim=2
+        solve_band(full_fock_band(params, 2 * cutoff), 4 * cutoff), qubit_dim=2
     )
     subs = [solve_point(params, lbl, cutoff, cutoff) for lbl in ALL_SUBSPACES]
     try:
@@ -361,8 +361,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     # seven independent tasks through the sweep's fork path, in contiguous shares
     # of equal count, listed to even out the shares' work on 2, 3 and 4 CPUs (cutoff
-    # 128, one BLAS thread: an alignment 80-100 ms, 45-60 at g2 = 0, the degenerate
-    # ladders 25 ms, Hermite-Gauss 13-22 ms, the gauge 0.5 ms); the gauge, whose complex
+    # 128, one BLAS thread: an alignment 44-52 ms, 35-42 at g2 = 0, the degenerate
+    # ladders 24-25 ms, Hermite-Gauss 13-18 ms, the gauge 0.5 ms); the gauge, whose complex
     # arithmetic raised the peak RSS of the process that ran it, is in a child's share
     tasks = [a1, dg, a0, a2, hg, a3, gauge]
     r = dict(zip(tasks, map_forked(operator.call, tasks, per_worker=1)))

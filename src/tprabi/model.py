@@ -135,7 +135,7 @@ class TridiagonalMatrix:
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Dense Hermitian matrix, checked exactly Hermitian on construction."""
+    """Dense Hermitian matrix, checked exactly Hermitian; the model's are _band scatters."""
 
     data: np.ndarray
 
@@ -181,25 +181,30 @@ def _quadrature_bands(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return diag, off2
 
 
-def _assemble(up, down, cross=0.0, same=(0.0, 0.0), flip=(0.0, 0.0)) -> HermitianMatrix:
-    """Hermitian matrix over |n, s> at index 2n + s (s = 0 up, 1 down) from its
-    bands (arrays or scalars): the diagonals <n, s|H|n, s>, the cross term
-    <n, down|H|n, up>, same = <m+2, s|H|m, s> and flip = <m+2, 1-s|H|m, s>
-    for s = up, down. They fill the lower triangle; the upper is its conjugate."""
+def _band(up, down, cross=0.0, same=(0.0, 0.0), flip=(0.0, 0.0)) -> np.ndarray:
+    """Lower band rows (6 x 2N), row d holding <j + d|H|j> at column j, of the Hermitian
+    matrix over |n, s> at index 2n + s (s = 0 up, 1 down), from its bands (arrays or
+    scalars): the diagonals <n, s|H|n, s>, the cross term <n, down|H|n, up>,
+    same = <m+2, s|H|m, s> and flip = <m+2, 1-s|H|m, s> for s = up, down."""
     N = len(up)
-    h = np.zeros((2 * N, 2 * N), dtype=np.result_type(float, cross))
-    i = 2 * np.arange(N)  # |n, up> sits at 2n, |n, down> at 2n + 1
-    lo = i[: N - 2]  # |m, up> for every m whose m + 2 is in the basis
-    h[i, i] = up
-    h[i + 1, i + 1] = down
-    h[i + 1, i] = cross
-    h[lo + 4, lo], h[lo + 5, lo + 1] = same
-    h[lo + 5, lo], h[lo + 4, lo + 1] = flip
+    band = np.zeros((6, 2 * N), dtype=np.result_type(float, cross))
+    band[0, ::2], band[0, 1::2], band[1, ::2] = up, down, cross
+    band[4, : 2 * N - 4 : 2], band[4, 1 : 2 * N - 4 : 2] = same
+    band[5, : 2 * N - 4 : 2], band[3, 1 : 2 * N - 4 : 2] = flip
+    return band
+
+
+def _scatter(band: np.ndarray) -> HermitianMatrix:
+    """Dense matrix of a _band: its rows fill the lower triangle, their conjugate the upper."""
+    dim = band.shape[1]
+    h = np.zeros((dim, dim), dtype=band.dtype)
+    for d, row in enumerate(band[:dim]):  # <j + d|H|j> is h.flat[d * dim + j * (dim + 1)]
+        h.flat[d * dim :: dim + 1] = row[: dim - d]
     return HermitianMatrix(h + np.triu(h.conj().T, 1))
 
 
 def _full_fock_bands(params: ModelParams, cutoff: int) -> tuple:
-    """_assemble's arguments for build_full_fock: omega*n +/- omega0/2 on the diagonals
+    """_band's arguments for full_fock_band: omega*n +/- omega0/2 on the diagonals
     and only the spin-flip band, g2*sqrt((n+1)(n+2)) between |n, s> and |n+2, 1-s>."""
     _check_cutoff(cutoff)
     n = np.arange(cutoff, dtype=float)
@@ -208,9 +213,15 @@ def _full_fock_bands(params: ModelParams, cutoff: int) -> tuple:
     return boson + half, boson - half, 0.0, (0.0, 0.0), (pair, pair)
 
 
+def full_fock_band(params: ModelParams, cutoff: int) -> np.ndarray:
+    """Full model in the interleaved |n> (x) |up/down> product basis, as lower
+    band rows (solver.solve_band); its couplings reach 5 rows below the diagonal."""
+    return _band(*_full_fock_bands(params, cutoff))
+
+
 def build_full_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
-    """Full model in the interleaved |n> (x) |up/down> product basis."""
-    return _assemble(*_full_fock_bands(params, cutoff))
+    """full_fock_band as a dense matrix."""
+    return _scatter(full_fock_band(params, cutoff))
 
 
 def full_fock_chains(params: ModelParams, cutoff: int) -> list[Chain]:
@@ -231,7 +242,7 @@ def full_fock_chains(params: ModelParams, cutoff: int) -> list[Chain]:
 
 
 def _phase_space_bands(params: ModelParams, cutoff: int) -> tuple:
-    """_assemble's arguments for build_phase_space: spin-up block (alpha_+ p^2 +
+    """_band's arguments for build_phase_space: spin-up block (alpha_+ p^2 +
     alpha_- q^2)/2, spin-down with the alphas swapped, (omega0/2) sigma_x across."""
     diag, off2 = _quadrature_bands(cutoff)
     # (alpha_+ + alpha_-)/2 = omega for both spin blocks on the diagonal
@@ -241,11 +252,11 @@ def _phase_space_bands(params: ModelParams, cutoff: int) -> tuple:
 
 def build_phase_space(params: ModelParams, cutoff: int) -> HermitianMatrix:
     """Quadrature form H_y; its spectrum is the full model's plus omega/2."""
-    return _assemble(*_phase_space_bands(params, cutoff))
+    return _scatter(_band(*_phase_space_bands(params, cutoff)))
 
 
 def _rotated_bands(params: ModelParams, cutoff: int) -> tuple:
-    """_assemble's arguments for build_rotated_fock: the common boson block
+    """_band's arguments for build_rotated_fock: the common boson block
     (alpha_+ p^2 + alpha_- q^2)/2 and (omega0/2) across the qubit, rotated."""
     diag, off2 = _quadrature_bands(cutoff)
     boson, pair = params.omega * diag, -2.0 * params.g2 * off2
@@ -257,7 +268,7 @@ def _rotated_bands(params: ModelParams, cutoff: int) -> tuple:
 
 def build_rotated_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
     """Rotated form; the same spectrum as build_phase_space (rotation_gauge_deviation)."""
-    return _assemble(*_rotated_bands(params, cutoff))
+    return _scatter(_band(*_rotated_bands(params, cutoff)))
 
 
 def rotation_gauge_deviation(params: ModelParams, cutoff: int) -> float:
@@ -269,17 +280,15 @@ def rotation_gauge_deviation(params: ModelParams, cutoff: int) -> float:
     F, so one element of F moved by x reads x. P -> R: D is 1 on |n, up> and
     d_n = exp(i pi (n + 1/2)/2) on |n, down>, and D^dag R D = P; D takes R's cross
     term to omega0/2 and, as conj(d_{m+2}) d_m = -1, flips its down band."""
-    up, down, cross, (same_up, same_down) = _phase_space_bands(params, cutoff)
-    phase_space = [up, down, cross, same_up, same_down]
+    up, down, cross, (same_up, same_down) = phase_space = _phase_space_bands(params, cutoff)
     mean = (up + down - params.omega) / 2.0
     same, flip = -(same_up + same_down) / 2.0, (same_down - same_up) / 2.0
-    gauged = [mean + cross, mean - cross, (up - down) / 2.0, same, same, flip, flip]
-    up, down, cross, same, flip = _full_fock_bands(params, cutoff)
-    reference = [up, down, cross, *same, *flip, *phase_space]
+    gauged = _band(mean + cross, mean - cross, (up - down) / 2.0, (same, same), (flip, flip))
+    deviation = np.abs(gauged - _band(*_full_fock_bands(params, cutoff)))
     d = np.exp(0.5j * np.pi * (np.arange(cutoff) + 0.5))
     up, down, cross, (same_up, same_down) = _rotated_bands(params, cutoff)
-    gauged += [up, down, np.conj(d) * cross, same_up, np.conj(d[2:]) * d[:-2] * same_down]
-    return float(np.max([np.max(np.abs(g - r), initial=0.0) for g, r in zip(gauged, reference)]))
+    gauged = _band(up, down, np.conj(d) * cross, (same_up, np.conj(d[2:]) * d[:-2] * same_down))
+    return float(max(np.max(deviation), np.max(np.abs(gauged - _band(*phase_space)))))
 
 
 def build_subspace_tridiagonal(

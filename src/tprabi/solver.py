@@ -162,10 +162,20 @@ def solve_chains(chains: Sequence[Chain], k: int) -> list[EigenPair]:
     )
 
 
+def solve_band(band: np.ndarray, k: int) -> list[EigenPair]:
+    """k lowest eigenpairs of a Hermitian matrix from its lower band rows, row d holding <j + d|H|j>
+    at column j: all by ?sbevd/?hbevd when k is its dimension, else by ?sbevx/?hbevx."""
+    _check_k(k, band.shape[1])
+    select = "a" if k == band.shape[1] else "i"
+    solved = scipy.linalg.eig_banded(band, lower=True, select=select, select_range=(0, k - 1))
+    return _package([(None, *solved)], k)
+
+
 def solve_hermitian(matrix: HermitianMatrix, k: int) -> list[EigenPair]:
-    """k lowest eigenpairs of a Hermitian matrix."""
-    _check_k(k, matrix.dimension)
-    return _package([(None, *scipy.linalg.eigh(matrix.data, subset_by_index=[0, k - 1]))], k)
+    """k lowest eigenpairs of a dense Hermitian matrix, by solve_band on its nonzero band."""
+    width = np.max(np.subtract(*np.nonzero(matrix.data)), initial=0)
+    band = [np.pad(np.diagonal(matrix.data, -d), (0, d)) for d in range(width + 1)]
+    return solve_band(np.array(band), k)
 
 
 def convergence_filter(

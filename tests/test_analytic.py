@@ -244,6 +244,12 @@ class TestKummer:
         ratio = series / hermite
         assert np.max(np.abs(ratio - ratio[0])) < 1e-10 * abs(ratio[0])
 
+    def test_tiny_a_sums_past_its_tiny_first_terms(self):
+        # a z / b falls below 1e-14 of the total while (a + k) z / ((b + k)(k + 1))
+        # still exceeds 1: the series used to stop there at 1.0000000000000075
+        a, b, z = 2.220446049250313e-16, 0.5, 17.0
+        assert kummer_1f1(a, b, z) == pytest.approx(float(mpmath.hyp1f1(a, b, z)), rel=1e-12)
+
     @given(
         st.floats(-4.0, 4.0),
         st.sampled_from([0.5, 1.5, 2.0, 3.7]),

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tprabi.cli
 import tprabi.model
@@ -483,6 +484,18 @@ class TestOracleCommand:
         code, out, _ = run_cli(["oracle", "--cutoff", "32", "--seed", "7"], capsys)
         assert code == 0 and out.count("PASS") == 4
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_builds_no_dense_matrix(self, monkeypatch, capsys, cpus):
+        # the alignment solves the unsplit full-Fock reference from its band
+        def dense(*args, **kwargs):
+            raise AssertionError("the oracle built or solved a dense matrix")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", dense)
+        monkeypatch.setattr(tprabi.model, "build_full_fock", dense)
+        monkeypatch.setattr(tprabi.sweep, "_available_cpus", lambda: cpus)
+        code, out, _ = run_cli(["oracle", "--cutoff", "32", "--seed", "1"], capsys)
+        assert code == 0 and out.count(": PASS (") == 4
+
     def test_tiny_cutoff_rejected(self, capsys):
         code, _, err = run_cli(["oracle", "--cutoff", "8"], capsys)
         assert code == 2 and "cutoff" in err
@@ -627,11 +640,11 @@ class TestForkedOracle:
 
     @pytest.mark.parametrize("cpus", [2, 3, 4])
     @pytest.mark.parametrize(
-        "target", ["tprabi.cli.build_full_fock", "tprabi.model._phase_space_bands"]
+        "target", ["tprabi.cli.full_fock_band", "tprabi.model._phase_space_bands"]
     )
     def test_child_error_maps_as_in_a_serial_run(self, monkeypatch, capsys, forks, target, cpus):
         # the calling process's share starts with an alignment (full-Fock) on
-        # 2, 3 and 4 CPUs, so build_full_fock fails there first; only the gauge
+        # 2, 3 and 4 CPUs, so full_fock_band fails there first; only the gauge
         # reads the phase-space bands, and it runs in the last share, a child's
         def broken(params, cutoff):
             raise ValueError("no dense basis")

@@ -392,6 +392,29 @@ class TestBuilderInvariants:
             builder(ModelParams(1.0, 1.0, 0.1), cutoff)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "builder,bands",
+        [
+            (build_full_fock, "_full_fock_bands"),
+            (build_phase_space, "_phase_space_bands"),
+            (build_rotated_fock, "_rotated_bands"),
+        ],
+        ids=["full", "phase", "rotated"],
+    )
+    @pytest.mark.parametrize("cutoff", [2, 3, 4, 5, 64, 1025])
+    @pytest.mark.parametrize("omega0", [0.0, 1.0])
+    def test_band_rows_are_the_dense_lower_diagonals(self, builder, bands, cutoff, omega0):
+        # bit for bit, once + 0.0 gives a zero the sign the dense mirror's add gives it
+        params = ModelParams(omega0, 0.5, 0.2)
+        rows = tprabi.model._band(*getattr(tprabi.model, bands)(params, cutoff))
+        dense = builder(params, cutoff).data
+        assert rows.shape == (6, 2 * cutoff) and rows.dtype == dense.dtype
+        for d, row in enumerate(rows):
+            diagonal = np.diagonal(dense, -d)
+            assert (row[: len(diagonal)] + 0.0).tobytes() == diagonal.tobytes()
+            assert not np.any(row[len(diagonal) :])
+        assert not np.any(np.tril(dense, -6))
+
     @given(params_st, st.integers(2, 40))
     def test_exact_hermiticity(self, params, cutoff):
         for builder in (build_full_fock, build_phase_space, build_rotated_fock):

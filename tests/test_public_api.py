@@ -54,6 +54,7 @@ MODULE_ONLY = {
         "TridiagonalMatrix",
         "build_phase_space",
         "build_rotated_fock",
+        "full_fock_band",
         "full_fock_chains",
     ],
     "solver": [
@@ -61,6 +62,7 @@ MODULE_ONLY = {
         "EigenPair",
         "FilteredSpectrum",
         "align_spectra",
+        "solve_band",
         "solve_chains",
         "tail_norm_of",
     ],

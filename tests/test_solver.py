@@ -19,11 +19,12 @@ from tprabi import (
     solve_hermitian,
     solve_tridiagonal,
 )
-from tprabi.model import HermitianMatrix, TridiagonalMatrix, full_fock_chains
+from tprabi.model import HermitianMatrix, TridiagonalMatrix, full_fock_band, full_fock_chains
 from tprabi.solver import (
     EigenPair,
     FilteredSpectrum,
     align_spectra,
+    solve_band,
     solve_chains,
     tail_norm_of,
 )
@@ -116,6 +117,29 @@ class TestAllPairsMRRR:
         assert np.array_equal(full.converged, bisected.converged)
 
 
+class TestBandSolve:
+    """solve_band on the full-Fock band against dense eigh of the same matrix:
+    the same values and the same filter verdicts, for every pair (?sbevd) and
+    for the lowest 10 (?sbevx)."""
+
+    @pytest.mark.parametrize("k", ["dim", 10])
+    @pytest.mark.parametrize("cutoff", [32, 128])
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.999])
+    def test_matches_dense_eigh(self, fraction, cutoff, k):
+        params = ModelParams(1.0, 0.5, fraction * critical_coupling(0.5))
+        dense = build_full_fock(params, cutoff).data
+        k = len(dense) if k == "dim" else k
+        banded = convergence_filter(solve_band(full_fock_band(params, cutoff), k), qubit_dim=2)
+        values, vectors = scipy.linalg.eigh(dense, subset_by_index=[0, k - 1])
+        reference = convergence_filter(
+            [EigenPair(w, v) for w, v in zip(values, vectors.T)], qubit_dim=2
+        )
+        deviation = [p.value - q.value for p, q in zip(banded.pairs, reference.pairs)]
+        assert len(banded.pairs) == k
+        assert np.max(np.abs(deviation)) <= 1e-12 * np.max(np.abs(np.diag(dense)))
+        assert np.array_equal(banded.converged, reference.converged)
+
+
 class TestSolveHermitian:
     def test_decoupled_full_model(self):
         pairs = solve_hermitian(build_full_fock(ModelParams(1.0, 1.0, 0.0), 8), 4)
@@ -172,7 +196,7 @@ class TestBadColumn:
         sector = build_subspace_tridiagonal(Q14P, params, 64)
         chains = full_fock_chains(params, 64)
         full = build_full_fock(params, 64)
-        for lapack in ("eigh_tridiagonal", "eigh"):
+        for lapack in ("eigh_tridiagonal", "eigh", "eig_banded"):
             damage_last_column(lapack, damage)
         with pytest.raises(ValueError, match=BAD_COLUMN):
             solve_tridiagonal(sector, 10)
