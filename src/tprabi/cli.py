@@ -361,8 +361,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     # seven independent tasks through the sweep's fork path, in contiguous shares
     # of equal count, listed to even out the shares' work on 2, 3 and 4 CPUs (cutoff
-    # 128, one BLAS thread: an alignment 44-52 ms, 35-42 at g2 = 0, the degenerate
-    # ladders 24-25 ms, Hermite-Gauss 13-18 ms, the gauge 0.5 ms); the gauge, whose complex
+    # 128, one BLAS thread: an alignment 18-19 ms, 14 at g2 = 0, the degenerate
+    # ladders 19 ms, Hermite-Gauss 11 ms, the gauge 0.3 ms; shares timed 52 | 48,
+    # 38 | 33 | 30 and 19 | 33 | 30 | 19 ms); the gauge, whose complex
     # arithmetic raised the peak RSS of the process that ran it, is in a child's share
     tasks = [a1, dg, a0, a2, hg, a3, gauge]
     r = dict(zip(tasks, map_forked(operator.call, tasks, per_worker=1)))

@@ -129,7 +129,7 @@ def _package(blocks: Sequence[tuple], k: int) -> list[EigenPair]:
         indices, vectors, j = where[i]
         vector = _canonical_sign(vectors[:, j])
         if indices is not None:
-            scattered = np.zeros(dim)
+            scattered = np.zeros(dim, dtype=vector.dtype)
             scattered[indices] = vector
             vector = scattered
         pairs.append(EigenPair(float(values[i]), vector))
@@ -162,17 +162,61 @@ def solve_chains(chains: Sequence[Chain], k: int) -> list[EigenPair]:
     )
 
 
-def solve_band(band: np.ndarray, k: int) -> list[EigenPair]:
-    """k lowest eigenpairs of a Hermitian matrix from its lower band rows, row d holding <j + d|H|j>
-    at column j: all by ?sbevd/?hbevd when k is its dimension, else by ?sbevx/?hbevx."""
-    _check_k(k, band.shape[1])
+def _band_blocks(band: np.ndarray) -> list[np.ndarray]:
+    """Ascending indices of each irreducible block of a lower band, the connected
+    components of its nonzero entries below the diagonal, in order of first index."""
+    dim = band.shape[1]
+    # entry (d, j) inside the matrix joins j and j + d; the diagonal's are self-loops
+    cols = [np.flatnonzero(band[d, : dim - d]) for d in range(len(band))]
+    a, b = np.concatenate(cols), np.concatenate([j + d for d, j in enumerate(cols)])
+    root = np.arange(dim)  # an index's least known block-mate; root[root] == root
+    # nonzero differences, not !=: a first integer comparison added 0.13 MB to peak RSS
+    while np.count_nonzero((ra := root[a]) - (rb := root[b])):
+        np.minimum.at(root, ra, rb)  # hook each root onto a lesser root it touches
+        np.minimum.at(root, rb, ra)
+        while np.count_nonzero(root[root] - root):
+            root = root[root]
+    order = np.argsort(root, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+
+
+def _eig_banded(band: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k lowest eigenpairs of a lower band: all by ?sbevd/?hbevd when k is its
+    dimension, else by ?sbevx/?hbevx."""
     select = "a" if k == band.shape[1] else "i"
-    solved = scipy.linalg.eig_banded(band, lower=True, select=select, select_range=(0, k - 1))
-    return _package([(None, *solved)], k)
+    return scipy.linalg.eig_banded(band, lower=True, select=select, select_range=(0, k - 1))
+
+
+def _solve_block(band: np.ndarray, indices: np.ndarray, k: int) -> tuple:
+    """min(k, size) lowest eigenpairs of the block over indices: a 1 x 1 block is its
+    entry, a larger one is solved on its own band, as narrow as its entries allow."""
+    m, width = len(indices), band.shape[0] - 1
+    if m == 1:
+        return band[0, indices].real, np.ones((1, 1), dtype=band.dtype)
+    rows = np.vstack([band, np.zeros_like(band[:1])])  # a gap past the band reads 0
+    sub = np.zeros((min(width, m - 1) + 1, m), dtype=band.dtype)
+    for d in range(len(sub)):
+        gap = np.minimum(indices[d:] - indices[: m - d], width + 1)
+        sub[d, : m - d] = rows[gap, indices[: m - d]]
+    return _eig_banded(sub[: np.flatnonzero(sub.any(axis=1))[-1] + 1], min(k, m))
+
+
+def solve_band(band: np.ndarray, k: int) -> list[EigenPair]:
+    """k lowest eigenpairs of a Hermitian matrix from its lower band rows, row d holding
+    <j + d|H|j> at column j. A band that is one irreducible block is one eig_banded
+    call; else each block, read from the band's nonzero entries, is solved on its own
+    (model.full_fock_band splits into its four parity chains, and into 1 x 1 blocks,
+    which need no LAPACK call, at g2 = 0)."""
+    _check_k(k, band.shape[1])
+    blocks = _band_blocks(band)
+    if len(blocks) == 1:
+        return _package([(None, *_eig_banded(band, k))], k)
+    return _package([(indices, *_solve_block(band, indices, k)) for indices in blocks], k)
 
 
 def solve_hermitian(matrix: HermitianMatrix, k: int) -> list[EigenPair]:
-    """k lowest eigenpairs of a dense Hermitian matrix, by solve_band on its nonzero band."""
+    """k lowest eigenpairs of a dense Hermitian matrix, by solve_band on its nonzero band
+    (real or complex; the phase-space and rotated forms split by Fock parity)."""
     width = np.max(np.subtract(*np.nonzero(matrix.data)), initial=0)
     band = [np.pad(np.diagonal(matrix.data, -d), (0, d)) for d in range(width + 1)]
     return solve_band(np.array(band), k)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,7 +20,13 @@ from tprabi import (
     solve_hermitian,
     solve_tridiagonal,
 )
-from tprabi.model import HermitianMatrix, TridiagonalMatrix, full_fock_band, full_fock_chains
+from tprabi.model import (
+    HermitianMatrix,
+    TridiagonalMatrix,
+    build_rotated_fock,
+    full_fock_band,
+    full_fock_chains,
+)
 from tprabi.solver import (
     EigenPair,
     FilteredSpectrum,
@@ -138,6 +145,97 @@ class TestBandSolve:
         assert len(banded.pairs) == k
         assert np.max(np.abs(deviation)) <= 1e-12 * np.max(np.abs(np.diag(dense)))
         assert np.array_equal(banded.converged, reference.converged)
+
+
+class TestBandBlocks:
+    """solve_band solves each irreducible block of a band on its own."""
+
+    @pytest.fixture
+    def solved_dims(self, monkeypatch):
+        """The dimension of every band scipy.linalg.eig_banded is handed."""
+        dims = []
+        solve = scipy.linalg.eig_banded
+
+        def recorded(band, *args, **kwargs):
+            dims.append(band.shape[1])
+            return solve(band, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eig_banded", recorded)
+        return dims
+
+    @pytest.mark.parametrize("g2", [0.0, 0.1, 0.2])
+    def test_full_fock_band_is_solved_chain_by_chain(self, solved_dims, g2):
+        # the four parity chains of N levels each; at g2 = 0 every entry is its own block
+        cutoff = 64
+        pairs = solve_band(full_fock_band(ModelParams(1.0, 0.5, g2), 2 * cutoff), 4 * cutoff)
+        assert len(pairs) == 4 * cutoff
+        assert solved_dims == ([] if g2 == 0.0 else [cutoff] * 4)
+
+    @pytest.mark.parametrize("k", ["dim", 5])
+    def test_one_block_band_is_one_direct_call(self, solved_dims, k):
+        t = build_subspace_tridiagonal(Q14P, ModelParams(1.0, 0.5, 0.2), 40)
+        band = np.array([t.diag, np.append(t.offdiag, 0.0)])
+        k = t.dimension if k == "dim" else k
+        select = "a" if k == t.dimension else "i"
+        values, vectors = scipy.linalg.eig_banded(
+            band, lower=True, select=select, select_range=(0, k - 1)
+        )
+        pairs = solve_band(band, k)
+        assert solved_dims == [t.dimension] * 2
+        assert np.array([p.value for p in pairs]).tobytes() == values.tobytes()
+        for pair, column in zip(pairs, vectors.T):
+            assert np.array_equal(pair.vector, column) or np.array_equal(pair.vector, -column)
+
+    def test_rotated_form_keeps_its_imaginary_parts(self):
+        # two blocks (even and odd Fock levels), each complex; a real scatter would
+        # drop the imaginary parts and fail the unit-norm check
+        dense = build_rotated_fock(ModelParams(0.7, 0.5, 0.13), 48).data
+        pairs = solve_hermitian(HermitianMatrix(dense), len(dense))
+        values, vectors = scipy.linalg.eigh(dense)
+        assert np.max(np.abs([p.value for p in pairs] - values)) <= 1e-12 * np.max(np.abs(values))
+        stacked = np.column_stack([p.vector for p in pairs])
+        assert np.iscomplexobj(stacked) and np.max(np.abs(stacked.imag)) > 0.1
+        assert np.max(np.abs(dense @ stacked - stacked * values)) < 1e-10
+        overlap = np.abs(vectors.conj().T @ stacked)  # each pair is eigh's column up to a phase
+        assert np.max(np.abs(np.diag(overlap) - 1.0)) < 1e-8
+
+    @pytest.mark.parametrize("k", [3, 10, 11, 64])
+    def test_ties_across_blocks_keep_the_dense_values(self, k):
+        # g2 = 0, omega0 = 2 omega: |n, up> ties |n + 2, down>, so k = 3 and 11 cut a tie
+        params = ModelParams(1.0, 0.5, 0.0)
+        dense = build_full_fock(params, 32).data
+        values, vectors = scipy.linalg.eigh(dense, subset_by_index=[0, k - 1])
+        reference = convergence_filter(
+            [EigenPair(w, v) for w, v in zip(values, vectors.T)], qubit_dim=2
+        )
+        banded = convergence_filter(solve_band(full_fock_band(params, 32), k), qubit_dim=2)
+        assert banded.converged_values.tobytes() == reference.converged_values.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sparse_bands_match_dense_eigh(self, solved_dims, seed):
+        # couplings dropped at random: blocks of every size, interleaved, real and complex
+        rng = np.random.default_rng(seed)
+        dim, width = 40, 4
+        band = rng.normal(size=(width + 1, dim)) * (rng.random((width + 1, dim)) < 0.25)
+        if seed % 2:
+            band = band * np.exp(2j * np.pi * rng.random((width + 1, dim)))
+        band[0] = rng.normal(size=dim)
+        band[1:][np.arange(dim) + np.arange(1, width + 1)[:, None] >= dim] = 0.0
+        dense = np.zeros((dim, dim), dtype=band.dtype)
+        for d, row in enumerate(band):
+            dense[np.arange(d, dim), np.arange(dim - d)] = row[: dim - d]
+        dense = dense + np.tril(dense, -1).conj().T
+        # the blocks by a reference graph search, in order of first index
+        count, labels = scipy.sparse.csgraph.connected_components(dense != 0, directed=False)
+        blocks = sorted((np.flatnonzero(labels == c) for c in range(count)), key=min)
+        for k in (dim, 7):
+            pairs = solve_band(band, k)
+            values = scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=[0, k - 1])
+            assert np.max(np.abs([p.value for p in pairs] - values)) < 1e-12 * dim
+            for pair in pairs:
+                assert np.linalg.norm(dense @ pair.vector - pair.value * pair.vector) < 1e-10
+        assert 1 < count < dim
+        assert solved_dims == [len(b) for b in blocks if len(b) > 1] * 2
 
 
 class TestSolveHermitian:
