@@ -180,38 +180,37 @@ def _band_blocks(band: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
 
-def _eig_banded(band: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k lowest eigenpairs of a lower band: all by ?sbevd/?hbevd when k is its
-    dimension, else by ?sbevx/?hbevx."""
-    select = "a" if k == band.shape[1] else "i"
-    return scipy.linalg.eig_banded(band, lower=True, select=select, select_range=(0, k - 1))
-
-
-def _solve_block(band: np.ndarray, indices: np.ndarray, k: int) -> tuple:
-    """min(k, size) lowest eigenpairs of the block over indices: a 1 x 1 block is its
-    entry, a larger one is solved on its own band, as narrow as its entries allow."""
-    m, width = len(indices), band.shape[0] - 1
+def _solve_block(rows: np.ndarray, indices: np.ndarray, k: int) -> tuple:
+    """min(k, size) lowest eigenpairs of the block over indices of a lower band whose
+    last row, past the band, is zero: a 1 x 1 block is its entry, a larger one is
+    solved on its own band, as narrow as its entries allow, by ?sbevd/?hbevd for all
+    its pairs, else by ?sbevx/?hbevx."""
+    m, width = len(indices), rows.shape[0] - 2
     if m == 1:
-        return band[0, indices].real, np.ones((1, 1), dtype=band.dtype)
-    rows = np.vstack([band, np.zeros_like(band[:1])])  # a gap past the band reads 0
-    sub = np.zeros((min(width, m - 1) + 1, m), dtype=band.dtype)
+        return rows[0, indices].real, np.ones((1, 1), dtype=rows.dtype)
+    sub = np.zeros((min(width, m - 1) + 1, m), dtype=rows.dtype)
     for d in range(len(sub)):
-        gap = np.minimum(indices[d:] - indices[: m - d], width + 1)
+        gap = np.minimum(indices[d:] - indices[: m - d], width + 1)  # past the band: 0
         sub[d, : m - d] = rows[gap, indices[: m - d]]
-    return _eig_banded(sub[: np.flatnonzero(sub.any(axis=1))[-1] + 1], min(k, m))
+    k = min(k, m)
+    return scipy.linalg.eig_banded(
+        sub[: np.flatnonzero(sub.any(axis=1))[-1] + 1],
+        lower=True,
+        select="a" if k == m else "i",
+        select_range=(0, k - 1),
+    )
 
 
 def solve_band(band: np.ndarray, k: int) -> list[EigenPair]:
     """k lowest eigenpairs of a Hermitian matrix from its lower band rows, row d holding
-    <j + d|H|j> at column j. A band that is one irreducible block is one eig_banded
-    call; else each block, read from the band's nonzero entries, is solved on its own
-    (model.full_fock_band splits into its four parity chains, and into 1 x 1 blocks,
-    which need no LAPACK call, at g2 = 0)."""
+    <j + d|H|j> at column j. Each irreducible block, read from the band's nonzero
+    entries, is solved on its own (model.full_fock_band splits into its four parity
+    chains, and into 1 x 1 blocks, which need no LAPACK call, at g2 = 0)."""
     _check_k(k, band.shape[1])
-    blocks = _band_blocks(band)
-    if len(blocks) == 1:
-        return _package([(None, *_eig_banded(band, k))], k)
-    return _package([(indices, *_solve_block(band, indices, k)) for indices in blocks], k)
+    rows = np.vstack([band, np.zeros_like(band[:1])])
+    return _package(
+        [(indices, *_solve_block(rows, indices, k)) for indices in _band_blocks(band)], k
+    )
 
 
 def solve_hermitian(matrix: HermitianMatrix, k: int) -> list[EigenPair]:
