@@ -31,12 +31,12 @@ from .analytic import (
 )
 from .model import (
     ALL_SUBSPACES,
+    FULL,
     SUBSPACES_BY_NAME,
     ModelParams,
     Subspace,
     SubspaceLabel,
     _check_cutoff,
-    full_fock_band,
     rotation_gauge_deviation,
     subspace_from_name,
 )
@@ -45,8 +45,6 @@ from .solver import (
     DEFAULT_TOLERANCE,
     align_spectra,
     check_filter_settings,
-    convergence_filter,
-    solve_band,
 )
 from .sweep import (
     RelativeComb,
@@ -310,10 +308,7 @@ def _oracle_point(rng: np.random.Generator) -> tuple[float, float, float]:
 
 def _oracle_alignment(cutoff: int, point: tuple[float, float, float]) -> float:
     params = ModelParams(*point)
-    # every eigenpair of the unsplit matrix: solve_point's chains are the sectors
-    full = convergence_filter(
-        solve_band(full_fock_band(params, 2 * cutoff), 4 * cutoff), qubit_dim=2
-    )
+    full = solve_point(params, FULL, 2 * cutoff, 4 * cutoff)  # every eigenpair
     subs = [solve_point(params, lbl, cutoff, cutoff) for lbl in ALL_SUBSPACES]
     try:
         return align_spectra(full, subs).residual
@@ -361,9 +356,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     # seven independent tasks through the sweep's fork path, in contiguous shares
     # of equal count, listed to even out the shares' work on 2, 3 and 4 CPUs (cutoff
-    # 128, one BLAS thread: an alignment 18-19 ms, 14 at g2 = 0, the degenerate
-    # ladders 19 ms, Hermite-Gauss 11 ms, the gauge 0.3 ms; shares timed 52 | 48,
-    # 38 | 33 | 30 and 19 | 33 | 30 | 19 ms); the gauge, whose complex
+    # 128, one BLAS thread, loaded host: an alignment 23-27 ms, 16 at g2 = 0, the
+    # degenerate ladders 23 ms, Hermite-Gauss 15 ms, the gauge 0.4 ms; shares 66 | 66,
+    # 50 | 40 | 42 and 27 | 39 | 38 | 28 ms); the gauge, whose complex
     # arithmetic raised the peak RSS of the process that ran it, is in a child's share
     tasks = [a1, dg, a0, a2, hg, a3, gauge]
     r = dict(zip(tasks, map_forked(operator.call, tasks, per_worker=1)))

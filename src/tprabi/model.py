@@ -154,10 +154,6 @@ class HermitianMatrix:
         return self.data.shape[0]
 
 
-# interleaved indices 2n + s of a block of the full model, and the block
-Chain = tuple[np.ndarray, TridiagonalMatrix]
-
-
 def require_integer(name: str, value: int) -> None:
     """Reject anything but an int or numpy integer (a bool is not a count)."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
@@ -222,23 +218,6 @@ def full_fock_band(params: ModelParams, cutoff: int) -> np.ndarray:
 def build_full_fock(params: ModelParams, cutoff: int) -> HermitianMatrix:
     """full_fock_band as a dense matrix."""
     return _scatter(full_fock_band(params, cutoff))
-
-
-def full_fock_chains(params: ModelParams, cutoff: int) -> list[Chain]:
-    """build_full_fock split into its four parity chains: the coupling joins
-    only |n, s> and |n+2, flip(s)>, so the chain started at |n0, s0> visits
-    n = n0, n0+2, ... with alternating s. Chain c starts at n0 = the Fock
-    parity of ALL_SUBSPACES[c] and s0 = 0 on its + branch, so it is that
-    sector's ladder: (n0, s0) = (0, 0), (0, 1), (1, 0), (1, 1)."""
-    _check_cutoff(cutoff)
-    chains = []
-    for label in ALL_SUBSPACES:
-        n = np.arange(label.fock_parity, cutoff, 2)
-        s = (np.arange(len(n)) + (0 if label.branch == 1 else 1)) % 2
-        diag = params.omega * n + np.where(s == 0, 0.5, -0.5) * params.omega0
-        offdiag = params.g2 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
-        chains.append((2 * n + s, TridiagonalMatrix(diag, offdiag)))
-    return chains
 
 
 def _phase_space_bands(params: ModelParams, cutoff: int) -> tuple:

@@ -7,6 +7,7 @@ the last fraction of Fock amplitudes compared against a tolerance.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -14,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .model import Chain, HermitianMatrix, TridiagonalMatrix
+from .model import HermitianMatrix, TridiagonalMatrix
 
 _SIGNIFICANT = 1e-8  # amplitude magnitude that fixes the canonical sign
 
@@ -114,103 +115,107 @@ def _check_k(k: int, dim: int) -> None:
 
 
 def _package(blocks: Sequence[tuple], k: int) -> list[EigenPair]:
-    """The k lowest eigenpairs of solved blocks (indices or None, values,
-    vector columns) by a stable sort in block order. Every column is checked,
-    picked or not; the k picked get a canonical sign and, given indices, a scatter."""
+    """The k lowest eigenpairs of solved blocks (indices or None, values, vector
+    columns) by a stable sort in block order. Every column is checked, picked or not;
+    the k picked get a canonical sign and, given indices, a scatter. A block of one-row
+    columns is 1 x 1 blocks, its column j the unit vector at indices[j]."""
     values = np.concatenate([block_values for _, block_values, _ in blocks])
     off = np.abs(np.concatenate([np.linalg.norm(v, axis=0) for *_, v in blocks]) - 1.0)
     # written so that a nan norm (a non-finite column) fails as well
     if not (np.all(off <= 1e-12) and np.all(np.isfinite(values))):
         raise ValueError(f"eigenvector norms off 1 by {np.max(off)} or eigenvalues not finite")
-    dim = sum(len(v) for *_, v in blocks)
-    where = [(indices, v, j) for indices, _, v in blocks for j in range(v.shape[1])]
+    dim = sum(len(indices) for indices, *_ in blocks if indices is not None)
+    starts = np.cumsum([0, *(v.shape[1] for *_, v in blocks)]).tolist()  # of their columns
     pairs = []
-    for i in np.argsort(values, kind="stable")[:k]:
-        indices, vectors, j = where[i]
+    for i in np.argsort(values, kind="stable")[:k].tolist():
+        b = bisect.bisect_right(starts, i) - 1  # the last block starting at or before i
+        indices, _, vectors = blocks[b]
+        j = i - starts[b]
         vector = _canonical_sign(vectors[:, j])
         if indices is not None:
             scattered = np.zeros(dim, dtype=vector.dtype)
-            scattered[indices] = vector
+            scattered[indices if len(vectors) > 1 else indices[j : j + 1]] = vector
             vector = scattered
         pairs.append(EigenPair(float(values[i]), vector))
     return pairs
 
 
-def _lowest(matrix: TridiagonalMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k lowest eigenvalues and eigenvector columns of a real symmetric tridiagonal
-    matrix: all by MRRR (stemr, named as SciPy's default varies) when k is its
-    dimension, which may report a tail below ~1e-16 as exactly 0; else bisection."""
-    d, e = matrix.diag, matrix.offdiag
-    if k == len(d):  # copied: pairs viewing LAPACK's own buffer raised peak RSS 0.3 MB
-        values, vectors = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
-        return values, np.ascontiguousarray(vectors)
+def _lowest(d: np.ndarray, e: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k lowest eigenvalues and eigenvector columns of the real symmetric tridiagonal
+    matrix with diagonal d and off-diagonal e: all by MRRR (stemr, named as SciPy's
+    default varies) when k is its dimension, which may report a tail below ~1e-16 as
+    exactly 0; else bisection."""
+    if k == len(d):
+        return scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
     return scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
 
 
 def solve_tridiagonal(matrix: TridiagonalMatrix, k: int) -> list[EigenPair]:
     """k lowest eigenpairs of a real symmetric tridiagonal matrix."""
     _check_k(k, matrix.dimension)
-    return _package([(None, *_lowest(matrix, k))], k)
+    values, vectors = _lowest(matrix.diag, matrix.offdiag, k)
+    # all pairs copied: pairs viewing LAPACK's own buffer raised peak RSS 0.3 MB
+    return _package([(None, values, vectors.copy() if k == matrix.dimension else vectors)], k)
 
 
-def solve_chains(chains: Sequence[Chain], k: int) -> list[EigenPair]:
-    """k lowest eigenpairs of a qubit (x) Fock matrix split into tridiagonal
-    chains whose indices partition its own (model.full_fock_chains)."""
-    _check_k(k, sum(chain.dimension for _, chain in chains))
-    return _package(
-        [(indices, *_lowest(chain, min(k, chain.dimension))) for indices, chain in chains], k
-    )
-
-
-def _band_blocks(band: np.ndarray) -> list[np.ndarray]:
-    """Ascending indices of each irreducible block of a lower band, the connected
-    components of its nonzero entries below the diagonal, in order of first index."""
+def _band_blocks(band: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Ascending indices of a lower band's 1 x 1 blocks, and of each larger irreducible
+    block, the connected components of its nonzero entries below the diagonal, in
+    order of first index."""
     dim = band.shape[1]
-    # entry (d, j) inside the matrix joins j and j + d; the diagonal's are self-loops
-    cols = [np.flatnonzero(band[d, : dim - d]) for d in range(len(band))]
-    a, b = np.concatenate(cols), np.concatenate([j + d for d, j in enumerate(cols)])
+    # entry (d, j) inside the matrix joins j and j + d
+    cols = [np.flatnonzero(band[d, : dim - d]) for d in range(1, len(band))]
+    a = np.concatenate([np.zeros(0, dtype=np.intp), *cols])
+    b = np.concatenate([np.zeros(0, dtype=np.intp), *(j + d for d, j in enumerate(cols, 1))])
+    joined = np.zeros(dim, dtype=bool)  # every index not in a 1 x 1 block
+    joined[a] = joined[b] = True
     root = np.arange(dim)  # an index's least known block-mate; root[root] == root
     # nonzero differences, not !=: a first integer comparison added 0.13 MB to peak RSS
     while np.count_nonzero((ra := root[a]) - (rb := root[b])):
         np.minimum.at(root, ra, rb)  # hook each root onto a lesser root it touches
         np.minimum.at(root, rb, ra)
-        while np.count_nonzero(root[root] - root):
+        for _ in range(dim.bit_length()):  # a jump halves each path to a root; none is dim long
             root = root[root]
-    order = np.argsort(root, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+    order = np.flatnonzero(joined)
+    order = order[np.argsort(root[order], kind="stable")]
+    cuts = [0, *(np.flatnonzero(np.diff(root[order])) + 1).tolist(), len(order)]
+    return np.flatnonzero(~joined), [order[i:j] for i, j in zip(cuts, cuts[1:]) if i < j]
 
 
 def _solve_block(rows: np.ndarray, indices: np.ndarray, k: int) -> tuple:
-    """min(k, size) lowest eigenpairs of the block over indices of a lower band whose
-    last row, past the band, is zero: a 1 x 1 block is its entry, a larger one is
-    solved on its own band, as narrow as its entries allow, by ?sbevd/?hbevd for all
-    its pairs, else by ?sbevx/?hbevx."""
-    m, width = len(indices), rows.shape[0] - 2
-    if m == 1:
-        return rows[0, indices].real, np.ones((1, 1), dtype=rows.dtype)
-    sub = np.zeros((min(width, m - 1) + 1, m), dtype=rows.dtype)
-    for d in range(len(sub)):
-        gap = np.minimum(indices[d:] - indices[: m - d], width + 1)  # past the band: 0
-        sub[d, : m - d] = rows[gap, indices[: m - d]]
-    k = min(k, m)
+    """min(k, size) lowest eigenpairs of the block over two or more indices of a lower
+    band whose last row, past the band, is zero, on the block's own band, read as far as
+    its index gaps reach inside the band and narrowed to its last nonzero row: a real
+    one of one off-diagonal by _lowest, any other by ?sbevd/?hbevd for all its pairs,
+    else by ?sbevx/?hbevx."""
+    m, width, k = len(indices), rows.shape[0] - 2, min(k, len(indices))
+    # entries d block indices apart lie at least d times the least gap apart in the band
+    reach = min(m - 1, width // int((indices[1:] - indices[:-1]).min()))
+    sub = [rows[0, indices]] + [
+        rows[np.minimum(indices[d:] - indices[: m - d], width + 1), indices[: m - d]]
+        for d in range(1, reach + 1)  # past the band: the zero row
+    ]
+    while not sub[-1].any():
+        sub.pop()
+    if len(sub) == 2 and not np.iscomplexobj(rows):
+        return _lowest(*sub, k)
+    band = np.array([np.pad(row, (0, d)) for d, row in enumerate(sub)])
     return scipy.linalg.eig_banded(
-        sub[: np.flatnonzero(sub.any(axis=1))[-1] + 1],
-        lower=True,
-        select="a" if k == m else "i",
-        select_range=(0, k - 1),
+        band, lower=True, select="a" if k == m else "i", select_range=(0, k - 1)
     )
 
 
 def solve_band(band: np.ndarray, k: int) -> list[EigenPair]:
     """k lowest eigenpairs of a Hermitian matrix from its lower band rows, row d holding
-    <j + d|H|j> at column j. Each irreducible block, read from the band's nonzero
-    entries, is solved on its own (model.full_fock_band splits into its four parity
-    chains, and into 1 x 1 blocks, which need no LAPACK call, at g2 = 0)."""
+    <j + d|H|j> at column j. Each irreducible block, read from the band's nonzero entries,
+    is solved on its own (model.full_fock_band: its four parity chains); the 1 x 1 blocks,
+    every entry at g2 = 0, are their entries with unit columns and need no LAPACK call."""
     _check_k(k, band.shape[1])
     rows = np.vstack([band, np.zeros_like(band[:1])])
-    return _package(
-        [(indices, *_solve_block(rows, indices, k)) for indices in _band_blocks(band)], k
-    )
+    lone, blocks = _band_blocks(band)
+    solved = [(indices, *_solve_block(rows, indices, k)) for indices in blocks]
+    units = np.ones((1, len(lone)), dtype=band.dtype)
+    return _package([*solved, (lone, band[0, lone].real, units)], k)
 
 
 def solve_hermitian(matrix: HermitianMatrix, k: int) -> list[EigenPair]:

@@ -34,7 +34,7 @@ from .model import (
     Subspace,
     SubspaceLabel,
     build_subspace_tridiagonal,
-    full_fock_chains,
+    full_fock_band,
     require_integer,
 )
 from .solver import (
@@ -44,7 +44,7 @@ from .solver import (
     FilteredSpectrum,
     check_filter_settings,
     convergence_filter,
-    solve_chains,
+    solve_band,
     solve_tridiagonal,
 )
 
@@ -225,10 +225,11 @@ def solve_point(
     judge them with the tail-norm filter.
 
     k is clamped to the matrix dimension. Sector ladders hold cutoff levels;
-    the full model holds cutoff Fock levels per qubit state.
+    the full model holds cutoff Fock levels per qubit state and is solved from
+    its band, whose four parity chains solve_band finds and solves one by one.
     """
     if isinstance(subspace, FullModel):
-        pairs = solve_chains(full_fock_chains(params, cutoff), min(k, 2 * cutoff))
+        pairs = solve_band(full_fock_band(params, cutoff), min(k, 2 * cutoff))
         qubit_dim = 2
     else:
         tridiag = build_subspace_tridiagonal(subspace, params, cutoff)

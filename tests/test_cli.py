@@ -640,7 +640,7 @@ class TestForkedOracle:
 
     @pytest.mark.parametrize("cpus", [2, 3, 4])
     @pytest.mark.parametrize(
-        "target", ["tprabi.cli.full_fock_band", "tprabi.model._phase_space_bands"]
+        "target", ["tprabi.sweep.full_fock_band", "tprabi.model._phase_space_bands"]
     )
     def test_child_error_maps_as_in_a_serial_run(self, monkeypatch, capsys, forks, target, cpus):
         # the calling process's share starts with an alignment (full-Fock) on

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tprabi.model
+import tprabi.solver
 from tprabi import (
     ALL_SUBSPACES,
     FULL,
@@ -24,7 +25,7 @@ from tprabi.model import (
     TridiagonalMatrix,
     build_phase_space,
     build_rotated_fock,
-    full_fock_chains,
+    full_fock_band,
     rotation_gauge_deviation,
     subspace_from_name,
 )
@@ -142,40 +143,51 @@ class TestFullFock:
         assert np.array_equal(sub, small.data)
 
 
-class TestFullFockChains:
+def full_fock_blocks(params, cutoff):
+    """Ascending indices of each irreducible block solve_band finds in
+    full_fock_band, 1 x 1 blocks included, in order of first index."""
+    lone, blocks = tprabi.solver._band_blocks(full_fock_band(params, cutoff))
+    return sorted([*blocks, *lone[:, None]], key=lambda block: block[0])
+
+
+class TestFullFockBlocks:
+    """The blocks of full_fock_band are its four parity chains: the coupling joins
+    only |n, s> and |n+2, 1-s>, so block c starts at n0 = the Fock parity of
+    ALL_SUBSPACES[c] and s0 = 0 on its + branch, and is that sector's ladder."""
+
     @pytest.mark.parametrize("omega0", [0.0, 1.0])
     @pytest.mark.parametrize("cutoff", [2, 3, 4, 5, 64, 1025])
-    def test_chains_scatter_to_full_matrix(self, cutoff, omega0):
+    def test_blocks_scatter_to_full_matrix(self, cutoff, omega0):
+        # each block is tridiagonal in its own order, and nothing lies outside them
         params = ModelParams(omega0, 0.5, 0.2)
-        chains = full_fock_chains(params, cutoff)
-        assert len(chains) == 4
-        indices = np.concatenate([idx for idx, _ in chains])
-        assert np.array_equal(np.sort(indices), np.arange(2 * cutoff))
-        dense = np.zeros((2 * cutoff, 2 * cutoff))
-        for idx, chain in chains:
-            dense[idx, idx] = chain.diag
-            dense[idx[1:], idx[:-1]] = chain.offdiag
-            dense[idx[:-1], idx[1:]] = chain.offdiag
-        assert np.array_equal(dense, build_full_fock(params, cutoff).data)
+        dense, blocks = build_full_fock(params, cutoff).data, full_fock_blocks(params, cutoff)
+        assert len(blocks) == 4
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(2 * cutoff))
+        scattered = np.zeros_like(dense)
+        for idx in blocks:
+            block = dense[np.ix_(idx, idx)]
+            assert np.array_equal(block, np.triu(np.tril(block, 1), -1))
+            scattered[np.ix_(idx, idx)] = block
+        assert np.array_equal(scattered, dense)
 
     @pytest.mark.parametrize("cutoff,lengths", [(2, [1, 1, 1, 1]), (5, [3, 3, 2, 2])])
-    def test_chain_lengths(self, cutoff, lengths):
-        chains = full_fock_chains(ModelParams(1.0, 0.5, 0.2), cutoff)
-        assert [chain.dimension for _, chain in chains] == lengths
+    def test_block_lengths(self, cutoff, lengths):
+        blocks = full_fock_blocks(ModelParams(1.0, 0.5, 0.2), cutoff)
+        assert [len(idx) for idx in blocks] == lengths
 
-    @pytest.mark.parametrize("g2", [0.0, 0.4])
+    @pytest.mark.parametrize("g2", [1e-3, 0.4])
     @pytest.mark.parametrize("omega0", [0.0, 1.3])
     @pytest.mark.parametrize("cutoff", [64, 65, 2048])
-    def test_chain_c_is_sector_c(self, cutoff, omega0, g2):
+    def test_block_c_is_sector_c(self, cutoff, omega0, g2):
         # the same ladder up to the full model's -omega/2 shift and the
         # sector's sign convention on the coupling
         params = ModelParams(omega0, 0.5, g2)
-        for label, (_, chain) in zip(ALL_SUBSPACES, full_fock_chains(params, cutoff)):
-            sector = build_subspace_tridiagonal(label, params, chain.dimension)
-            assert np.array_equal(chain.offdiag, -sector.offdiag), label.name
-            np.testing.assert_allclose(
-                chain.diag, sector.diag - params.omega / 2, rtol=1e-15, atol=0
-            )
+        band = full_fock_band(params, cutoff)
+        for label, idx in zip(ALL_SUBSPACES, full_fock_blocks(params, cutoff)):
+            diag, offdiag = band[0, idx], band[idx[1:] - idx[:-1], idx[:-1]]
+            sector = build_subspace_tridiagonal(label, params, len(idx))
+            assert np.array_equal(offdiag, -sector.offdiag), label.name
+            np.testing.assert_allclose(diag, sector.diag - params.omega / 2, rtol=1e-15, atol=0)
 
 
 class TestPhaseSpace:
@@ -370,9 +382,9 @@ class TestBuilderInvariants:
             build_phase_space,
             build_rotated_fock,
             functools.partial(build_subspace_tridiagonal, SubspaceLabel(0.75, -1)),
-            full_fock_chains,
+            full_fock_band,
         ],
-        ids=["full", "phase", "rotated", "sector", "chains"],
+        ids=["full", "phase", "rotated", "sector", "band"],
     )
     @pytest.mark.parametrize(
         "cutoff,message",

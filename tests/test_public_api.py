@@ -55,7 +55,6 @@ MODULE_ONLY = {
         "build_phase_space",
         "build_rotated_fock",
         "full_fock_band",
-        "full_fock_chains",
     ],
     "solver": [
         "Alignment",
@@ -63,7 +62,6 @@ MODULE_ONLY = {
         "FilteredSpectrum",
         "align_spectra",
         "solve_band",
-        "solve_chains",
         "tail_norm_of",
     ],
     "sweep": [

@@ -23,16 +23,15 @@ from tprabi import (
 from tprabi.model import (
     HermitianMatrix,
     TridiagonalMatrix,
+    build_phase_space,
     build_rotated_fock,
     full_fock_band,
-    full_fock_chains,
 )
 from tprabi.solver import (
     EigenPair,
     FilteredSpectrum,
     align_spectra,
     solve_band,
-    solve_chains,
     tail_norm_of,
 )
 
@@ -151,37 +150,49 @@ class TestBandBlocks:
     """solve_band solves each irreducible block of a band on its own."""
 
     @pytest.fixture
-    def solved_dims(self, monkeypatch):
-        """The dimension of every band scipy.linalg.eig_banded is handed."""
-        dims = []
-        solve = scipy.linalg.eig_banded
+    def solved(self, monkeypatch):
+        """(routine, dimension) of every scipy.linalg.eigh_tridiagonal and eig_banded call."""
+        calls = []
+        for name in ("eigh_tridiagonal", "eig_banded"):
+            solve = getattr(scipy.linalg, name)
 
-        def recorded(band, *args, **kwargs):
-            dims.append(band.shape[1])
-            return solve(band, *args, **kwargs)
+            def recorded(first, *args, _name=name, _solve=solve, **kwargs):
+                calls.append((_name, first.shape[-1]))
+                return _solve(first, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eig_banded", recorded)
-        return dims
+            monkeypatch.setattr(scipy.linalg, name, recorded)
+        return calls
 
     @pytest.mark.parametrize("g2", [0.0, 0.1, 0.2])
-    def test_full_fock_band_is_solved_chain_by_chain(self, solved_dims, g2):
-        # the four parity chains of N levels each; at g2 = 0 every entry is its own block
+    def test_full_fock_band_is_solved_chain_by_chain(self, solved, g2):
+        # the four parity chains of N levels each, tridiagonal; at g2 = 0 every
+        # entry is its own block and no routine runs
         cutoff = 64
         pairs = solve_band(full_fock_band(ModelParams(1.0, 0.5, g2), 2 * cutoff), 4 * cutoff)
         assert len(pairs) == 4 * cutoff
-        assert solved_dims == ([] if g2 == 0.0 else [cutoff] * 4)
+        assert solved == ([] if g2 == 0.0 else [("eigh_tridiagonal", cutoff)] * 4)
 
     @pytest.mark.parametrize("k", ["dim", 5])
-    def test_one_block_band_is_one_direct_call(self, solved_dims, k):
+    @pytest.mark.parametrize("routine", ["eigh_tridiagonal", "eig_banded"])
+    def test_one_block_band_is_one_direct_call(self, solved, routine, k):
+        # a real tridiagonal band goes to eigh_tridiagonal (MRRR for every pair,
+        # else bisection), a wider one to eig_banded; each keeps a direct call's bytes
         t = build_subspace_tridiagonal(Q14P, ModelParams(1.0, 0.5, 0.2), 40)
         band = np.array([t.diag, np.append(t.offdiag, 0.0)])
         k = t.dimension if k == "dim" else k
-        select = "a" if k == t.dimension else "i"
-        values, vectors = scipy.linalg.eig_banded(
-            band, lower=True, select=select, select_range=(0, k - 1)
-        )
+        if routine == "eigh_tridiagonal":
+            every = {"lapack_driver": "stemr"}
+            lowest = {"select": "i", "select_range": (0, k - 1)}
+            values, vectors = scipy.linalg.eigh_tridiagonal(
+                t.diag, t.offdiag, **(every if k == t.dimension else lowest)
+            )
+        else:
+            band = np.vstack([band, np.append(t.offdiag[1:], [0.0, 0.0]) / 3])
+            values, vectors = scipy.linalg.eig_banded(
+                band, lower=True, select="a" if k == t.dimension else "i", select_range=(0, k - 1)
+            )
         pairs = solve_band(band, k)
-        assert solved_dims == [t.dimension] * 2
+        assert solved == [(routine, t.dimension)] * 2
         assert np.array([p.value for p in pairs]).tobytes() == values.tobytes()
         for pair, column in zip(pairs, vectors.T):
             assert np.array_equal(pair.vector, column) or np.array_equal(pair.vector, -column)
@@ -212,7 +223,7 @@ class TestBandBlocks:
         assert banded.converged_values.tobytes() == reference.converged_values.tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_sparse_bands_match_dense_eigh(self, solved_dims, seed):
+    def test_random_sparse_bands_match_dense_eigh(self, solved, seed):
         # couplings dropped at random: blocks of every size, interleaved, real and complex
         rng = np.random.default_rng(seed)
         dim, width = 40, 4
@@ -235,7 +246,13 @@ class TestBandBlocks:
             for pair in pairs:
                 assert np.linalg.norm(dense @ pair.vector - pair.value * pair.vector) < 1e-10
         assert 1 < count < dim
-        assert solved_dims == [len(b) for b in blocks if len(b) > 1] * 2
+        # a real block whose entries join only neighbours in it is tridiagonal
+        tridiagonal = [
+            not np.iscomplexobj(band) and not np.tril(dense[np.ix_(b, b)], -2).any()
+            for b in blocks
+        ]
+        routines = ["eigh_tridiagonal" if t else "eig_banded" for t in tridiagonal]
+        assert solved == [(r, len(b)) for r, b in zip(routines, blocks) if len(b) > 1] * 2
 
 
 class TestSolveHermitian:
@@ -292,16 +309,16 @@ class TestBadColumn:
     def test_every_solver_raises_one_message(self, damage_last_column, damage):
         params = ModelParams(1.0, 0.5, 0.2)
         sector = build_subspace_tridiagonal(Q14P, params, 64)
-        chains = full_fock_chains(params, 64)
-        full = build_full_fock(params, 64)
+        band = full_fock_band(params, 64)
+        wide = build_phase_space(params, 64)  # blocks of three off-diagonals: eig_banded
         for lapack in ("eigh_tridiagonal", "eigh", "eig_banded"):
             damage_last_column(lapack, damage)
         with pytest.raises(ValueError, match=BAD_COLUMN):
             solve_tridiagonal(sector, 10)
         with pytest.raises(ValueError, match=BAD_COLUMN):
-            solve_chains(chains, 10)
+            solve_band(band, 10)
         with pytest.raises(ValueError, match=BAD_COLUMN):
-            solve_hermitian(full, 10)
+            solve_hermitian(wide, 10)
 
 
 class TestTailNorm:

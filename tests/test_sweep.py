@@ -33,13 +33,12 @@ from tprabi import (
     refine_collapse,
     refine_comb,
     run_sweep,
-    solve_hermitian,
     solve_point,
     solve_tridiagonal,
 )
 from tprabi.cli import _sweep_summary, parse_sweep_config, sweep_csv
-from tprabi.model import full_fock_chains
-from tprabi.solver import EigenPair, FilteredSpectrum, solve_chains
+from tprabi.model import TridiagonalMatrix, full_fock_band
+from tprabi.solver import EigenPair, FilteredSpectrum, solve_band
 from tprabi.sweep import FAILURE_COUNT, PROBE_DEPTH, CollapseEstimate, SweepResult, SweepRow
 
 Q14P = SubspaceLabel(0.25, 1)
@@ -790,10 +789,31 @@ class TestForkedSweep:
 
 
 def unsplit_reference(params, cutoff, k, tail_fraction=0.2, tolerance=1e-6):
-    """The full model solved without the chain split, as one dense matrix."""
-    matrix = build_full_fock(params, cutoff)
-    pairs = solve_hermitian(matrix, min(k, matrix.dimension))
+    """The full model solved without the chain split, by dense eigh of one matrix."""
+    dense = build_full_fock(params, cutoff).data
+    values, vectors = scipy.linalg.eigh(dense, subset_by_index=[0, min(k, len(dense)) - 1])
+    pairs = [EigenPair(w, v) for w, v in zip(values, vectors.T)]
     return convergence_filter(pairs, tail_fraction, tolerance, qubit_dim=2)
+
+
+def chain_indices(cutoff):
+    """Interleaved indices 2n + s of the full model's four parity chains: the coupling
+    joins only |n, s> and |n+2, 1-s>, so chain c starts at n0 = the Fock parity of
+    ALL_SUBSPACES[c], s0 = 0 on its + branch, and alternates s."""
+    chains = []
+    for label in ALL_SUBSPACES:
+        n = np.arange(label.fock_parity, cutoff, 2)
+        chains.append(2 * n + (np.arange(len(n)) + (label.branch == -1)) % 2)
+    return chains
+
+
+def chain_matrices(params, cutoff):
+    """The dense full-Fock matrix restricted to each parity chain, as tridiagonals."""
+    dense = build_full_fock(params, cutoff).data
+    return [
+        (idx, TridiagonalMatrix(dense[idx, idx], dense[idx[1:], idx[:-1]]))
+        for idx in chain_indices(cutoff)
+    ]
 
 
 def values_of(spectrum):
@@ -824,9 +844,9 @@ class TestSolvePoint:
         assert len(solve_point(params, FULL, 64, 500).pairs) == 128
 
 
-class TestFullChainSolve:
-    """solve_point(..., FULL, ...) splits the model into four parity chains;
-    the unsplit dense solve is the reference."""
+class TestFullBandSolve:
+    """solve_point(..., FULL, ...) solves the full-Fock band block by block, its
+    four parity chains; dense eigh of the unsplit matrix is the reference."""
 
     @pytest.mark.parametrize(
         "cutoff,k,tail_fraction,tolerance",
@@ -863,41 +883,57 @@ class TestFullChainSolve:
         ref = unsplit_reference(params, 128, 30)
         assert_values_close(got, ref)
         assert got.converged_count == ref.converged_count
-        chains = [idx for idx, _ in full_fock_chains(params, 128)]
         for pair in got.pairs:
-            occupied = [np.any(pair.vector[idx] != 0) for idx in chains]
+            occupied = [np.any(pair.vector[idx] != 0) for idx in chain_indices(128)]
             assert sum(occupied) == 1
 
-    def test_memory_stays_bounded_at_large_cutoff(self):
+    @pytest.mark.parametrize("g2", [0.2, 0.0])
+    def test_memory_stays_bounded_at_large_cutoff(self, g2):
         # the unsplit solve would build a dense matrix of 16384^2 doubles
         # (2 GB); the chains need four 4096 x 25 eigenvector blocks (3.3 MB)
         # and the 25 returned vectors of 16384 doubles (3.3 MB), so scattering
-        # every chain pair (100 vectors, 13 MB) does not fit
+        # every chain pair (100 vectors, 13 MB) does not fit; at g2 = 0 the
+        # 16384 1 x 1 blocks must not become a 16384^2 identity either
         tracemalloc.start()
         try:
-            got = solve_point(ModelParams(1.0, 0.5, 0.2), FULL, 8192, 25)
+            got = solve_point(ModelParams(1.0, 0.5, g2), FULL, 8192, 25)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
         assert got.converged_count == 25
 
+    @pytest.mark.parametrize("cutoff,k", [(8192, 25), (256, 512)])
+    def test_no_lapack_call_at_zero_coupling(self, monkeypatch, cutoff, k):
+        # at g2 = 0 every entry of the band is its own 1 x 1 block: its value is the
+        # entry, its vector a unit vector, and no eigensolver runs
+        def unexpected(*args, **kwargs):
+            raise AssertionError("no LAPACK call expected at g2 = 0")
+
+        for name in ("eigh_tridiagonal", "eig_banded"):
+            monkeypatch.setattr(scipy.linalg, name, unexpected)
+        params = ModelParams(1.0, 0.5, 0.0)
+        got = solve_point(params, FULL, cutoff, k)
+        diagonal = np.sort(full_fock_band(params, cutoff)[0])[:k]
+        assert np.array_equal(values_of(got), diagonal)
+        assert all(np.count_nonzero(p.vector) == 1 for p in got.pairs)
+
     @pytest.mark.parametrize("k", [1, 30, "all"])
     @pytest.mark.parametrize("cutoff", [2, 3, 128, 129])
     @pytest.mark.parametrize("omega0", [0.0, 1.0])  # 0: twin chains, equal spectra
     def test_pairs_equal_scattering_every_chain_pair(self, omega0, cutoff, k):
         # the reference packages every chain pair, scatters it and keeps the
-        # k lowest by a stable sort; solve_chains packages only those k
+        # k lowest by a stable sort; solve_point's band solve packages only those k
         k = 2 * cutoff if k == "all" else min(k, 2 * cutoff)
-        chains = full_fock_chains(ModelParams(omega0, 0.5, 0.2), cutoff)
+        params = ModelParams(omega0, 0.5, 0.2)
         reference = []
-        for indices, chain in chains:
+        for indices, chain in chain_matrices(params, cutoff):
             for pair in solve_tridiagonal(chain, min(k, chain.dimension)):
                 vector = np.zeros(2 * cutoff)
                 vector[indices] = pair.vector
                 reference.append(EigenPair(pair.value, vector))
         reference = sorted(reference, key=lambda pair: pair.value)[:k]
-        got = solve_chains(chains, k)
+        got = solve_band(full_fock_band(params, cutoff), k)
         assert [p.value for p in got] == [p.value for p in reference]
         for a, b in zip(got, reference):
             assert np.array_equal(a.vector, b.vector)
@@ -912,7 +948,7 @@ class TestFullChainSolve:
         kept = max(p.value for p in solve_point(params, FULL, 128, 25).pairs)
         last = [
             lowest(c.diag, c.offdiag, select="i", select_range=(0, 24))[0][-1]
-            for _, c in full_fock_chains(params, 128)
+            for _, c in chain_matrices(params, 128)
         ]
         assert kept < min(last)
 
