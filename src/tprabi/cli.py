@@ -356,11 +356,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     # seven independent tasks through the sweep's fork path, in contiguous shares
     # of equal count, listed to even out the shares' work on 2, 3 and 4 CPUs (cutoff
-    # 128, one BLAS thread, loaded host: an alignment 23-27 ms, 16 at g2 = 0, the
-    # degenerate ladders 23 ms, Hermite-Gauss 15 ms, the gauge 0.4 ms; shares 66 | 66,
-    # 50 | 40 | 42 and 27 | 39 | 38 | 28 ms); the gauge, whose complex
+    # 128, one BLAS thread, best of 15 serial runs: an alignment 16-18 ms, 6 at g2 = 0,
+    # the degenerate ladders 23 ms, Hermite-Gauss 13 ms, the gauge 0.4 ms; shares
+    # 46 | 48, 23 | 36 | 35 and 18 | 29 | 29 | 18 ms); the gauge, whose complex
     # arithmetic raised the peak RSS of the process that ran it, is in a child's share
-    tasks = [a1, dg, a0, a2, hg, a3, gauge]
+    tasks = [a1, a0, dg, hg, a2, a3, gauge]
     r = dict(zip(tasks, map_forked(operator.call, tasks, per_worker=1)))
     checks = {  # a check reads the max of its values, NaN if any is NaN
         "alignment": [r[a0], r[a1], r[a2], r[a3]],

@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,6 +43,14 @@ class EigenPair:
         object.__setattr__(self, "vector", vector)
 
 
+def _checked_pair(value: float, vector: np.ndarray) -> EigenPair:
+    """An EigenPair whose finite value and unit-norm vector the caller has checked."""
+    pair = object.__new__(EigenPair)  # fields set as __init__ sets them: no dict per pair
+    object.__setattr__(pair, "value", value)
+    object.__setattr__(pair, "vector", vector)
+    return pair
+
+
 @dataclass(frozen=True)
 class FilteredSpectrum:
     """Eigenpairs sorted by value, the tail norm of each, and the tolerance
@@ -58,11 +67,11 @@ class FilteredSpectrum:
 
     @property
     def converged_pairs(self) -> tuple[EigenPair, ...]:
-        return tuple(p for p, ok in zip(self.pairs, self.converged) if ok)
+        return tuple(compress(self.pairs, self.converged.tolist()))
 
     @property
     def converged_values(self) -> np.ndarray:
-        return np.array([p.value for p in self.converged_pairs])
+        return np.array([p.value for p in self.pairs])[self.converged]
 
     @property
     def converged_count(self) -> int:
@@ -93,20 +102,18 @@ def tail_norm_of(
     Fock levels across every qubit component; after a full-spectrum solve, a
     tail below ~1e-16 may read exactly 0."""
     check_filter_settings(tail_fraction)
-    fock_len = len(vector) // qubit_dim
-    take = math.ceil(tail_fraction * fock_len) * qubit_dim
+    return _tail_norm(vector, tail_fraction, qubit_dim)
+
+
+def _tail_norm(vector: np.ndarray, tail_fraction: float, qubit_dim: int) -> float:
+    """tail_norm_of under checked settings, by np.linalg.norm's reduction, bit for bit."""
+    take = math.ceil(tail_fraction * (len(vector) // qubit_dim)) * qubit_dim
     if take <= 0 or take > len(vector):
         raise ValueError(f"tail of length {take} invalid for vector of length {len(vector)}")
-    return float(np.linalg.norm(vector[len(vector) - take :]))
-
-
-def _canonical_sign(vector: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first significant amplitude is positive."""
-    significant = np.flatnonzero(np.abs(vector) > _SIGNIFICANT)
-    pivot = vector[significant[0]] if significant.size else vector[np.argmax(np.abs(vector))]
-    if np.iscomplexobj(vector):
-        return vector * (np.conj(pivot) / abs(pivot))
-    return -vector if pivot < 0 else vector
+    tail = vector[len(vector) - take :].ravel(order="K")  # contiguous; dots real, imag apart
+    if tail.dtype.kind == "c":
+        return float(np.sqrt(tail.real.dot(tail.real) + tail.imag.dot(tail.imag)))
+    return float(np.sqrt(tail.dot(tail)))
 
 
 def _check_k(k: int, dim: int) -> None:
@@ -115,10 +122,10 @@ def _check_k(k: int, dim: int) -> None:
 
 
 def _package(blocks: Sequence[tuple], k: int) -> list[EigenPair]:
-    """The k lowest eigenpairs of solved blocks (indices or None, values, vector
-    columns) by a stable sort in block order. Every column is checked, picked or not;
-    the k picked get a canonical sign and, given indices, a scatter. A block of one-row
-    columns is 1 x 1 blocks, its column j the unit vector at indices[j]."""
+    """The k lowest eigenpairs of solved blocks (indices or None, values, vector columns) by
+    a stable sort in block order. Every column is checked at once, picked or not, so pairs
+    skip EigenPair's check; the k picked get a canonical sign and, given indices, a scatter.
+    A block of one-row columns is 1 x 1 blocks, its column j the unit vector at indices[j]."""
     values = np.concatenate([block_values for _, block_values, _ in blocks])
     off = np.abs(np.concatenate([np.linalg.norm(v, axis=0) for *_, v in blocks]) - 1.0)
     # written so that a nan norm (a non-finite column) fails as well
@@ -126,18 +133,36 @@ def _package(blocks: Sequence[tuple], k: int) -> list[EigenPair]:
         raise ValueError(f"eigenvector norms off 1 by {np.max(off)} or eigenvalues not finite")
     dim = sum(len(indices) for indices, *_ in blocks if indices is not None)
     starts = np.cumsum([0, *(v.shape[1] for *_, v in blocks)]).tolist()  # of their columns
+    turns = [_turns(v) for *_, v in blocks]  # before any vector: under the norm check's peak
     pairs = []
     for i in np.argsort(values, kind="stable")[:k].tolist():
         b = bisect.bisect_right(starts, i) - 1  # the last block starting at or before i
         indices, _, vectors = blocks[b]
         j = i - starts[b]
-        vector = _canonical_sign(vectors[:, j])
+        vector, turn = vectors[:, j], turns[b][j]
+        if turn is not False:  # True: a real column's negative pivot; else a complex phase
+            vector = -vector if turn is True else vector * turn
         if indices is not None:
             scattered = np.zeros(dim, dtype=vector.dtype)
             scattered[indices if len(vectors) > 1 else indices[j : j + 1]] = vector
             vector = scattered
-        pairs.append(EigenPair(float(values[i]), vector))
+        pairs.append(_checked_pair(float(values[i]), vector))
     return pairs
+
+
+def _turns(columns: np.ndarray) -> list:
+    """Per column, what makes its first amplitude above 1e-8 (a unit column of under 1e16
+    rows has one) positive: for a real block whether to negate it, else the phase."""
+    (m, w), real = columns.shape, not np.iscomplexobj(columns)
+    # two comparisons for a real block: no float temporary of the block's size
+    significant = (columns > _SIGNIFICANT) | (columns < -_SIGNIFICANT) if real else (
+        np.abs(columns) > _SIGNIFICANT
+    )
+    masks = significant.T.tobytes()  # searched by bytes.find: argmax's code raised RSS 0.1 MB
+    first = [masks.find(1, c * m, c * m + m) - c * m for c in range(w)]
+    pivots = columns[np.array(first, np.intp), np.arange(w)]  # as a list, [] loads more code
+    # complex phases one at a time: dividing the arrays rounds some of them otherwise
+    return (pivots < 0).tolist() if real else [np.conj(p) / abs(p) for p in pivots]
 
 
 def _lowest(d: np.ndarray, e: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +264,7 @@ def convergence_filter(
     by tail norm.
     """
     check_filter_settings(tail_fraction, tolerance)
-    tails = np.array([tail_norm_of(p.vector, tail_fraction, qubit_dim) for p in pairs])
+    tails = np.array([_tail_norm(p.vector, tail_fraction, qubit_dim) for p in pairs])
     order = np.lexsort((tails, [p.value for p in pairs]))
     return FilteredSpectrum(tuple(pairs[i] for i in order), tails[order], tolerance)
 

@@ -1,6 +1,8 @@
 """Eigensolvers, the tail-norm filter, and cross-spectrum alignment."""
 
+import bisect
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from tprabi import (
     ALL_SUBSPACES,
+    FULL,
     ModelParams,
     SubspaceLabel,
     build_full_fock,
@@ -18,8 +21,10 @@ from tprabi import (
     convergence_filter,
     critical_coupling,
     solve_hermitian,
+    solve_point,
     solve_tridiagonal,
 )
+from tprabi import solver
 from tprabi.model import (
     HermitianMatrix,
     TridiagonalMatrix,
@@ -321,6 +326,150 @@ class TestBadColumn:
             solve_hermitian(wide, 10)
 
 
+def _reference_sign(vector):
+    """The per-pair canonical sign: the first amplitude above 1e-8 made positive."""
+    significant = np.flatnonzero(np.abs(vector) > 1e-8)
+    pivot = vector[significant[0]] if significant.size else vector[np.argmax(np.abs(vector))]
+    if np.iscomplexobj(vector):
+        return vector * (np.conj(pivot) / abs(pivot))
+    return -vector if pivot < 0 else vector
+
+
+def _reference_package(blocks, k):
+    """The per-pair packager: a sign, a scatter and a checked EigenPair for each pick."""
+    values = np.concatenate([block_values for _, block_values, _ in blocks])
+    dim = sum(len(indices) for indices, *_ in blocks if indices is not None)
+    starts = np.cumsum([0, *(v.shape[1] for *_, v in blocks)]).tolist()
+    pairs = []
+    for i in np.argsort(values, kind="stable")[:k].tolist():
+        b = bisect.bisect_right(starts, i) - 1
+        indices, _, vectors = blocks[b]
+        j = i - starts[b]
+        vector = _reference_sign(vectors[:, j])
+        if indices is not None:
+            scattered = np.zeros(dim, dtype=vector.dtype)
+            scattered[indices if len(vectors) > 1 else indices[j : j + 1]] = vector
+            vector = scattered
+        pairs.append(EigenPair(float(values[i]), vector))
+    return pairs
+
+
+def _reference_filter(pairs, fraction, qubit_dim):
+    """(sorted pairs, tails) with every tail by np.linalg.norm."""
+    tails = []
+    for pair in pairs:
+        n = len(pair.vector)
+        take = math.ceil(fraction * (n // qubit_dim)) * qubit_dim
+        tails.append(float(np.linalg.norm(pair.vector[n - take :])))
+    order = np.lexsort((tails, [p.value for p in pairs]))
+    return [pairs[i] for i in order], np.array(tails)[order]
+
+
+class TestBlockPackager:
+    """The packager signs and scatters a block at a time and the filter skips the
+    per-pair checks; both give the per-pair reference's bytes."""
+
+    @pytest.fixture
+    def packaged(self, monkeypatch):
+        """(blocks, k, pairs) of every solver._package call."""
+        calls = []
+        package = solver._package
+
+        def recorded(blocks, k):
+            calls.append((blocks, k, package(blocks, k)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(solver, "_package", recorded)
+        return calls
+
+    @staticmethod
+    def _solves(seed):
+        """(pairs, qubit_dim) of seeded solves: every sector and FULL, g2 = 0 and
+        coupled, real phase-space and complex rotated bands, k in {1, 3, 25, dim}."""
+        rng = np.random.default_rng(seed)
+        for case, k in zip(range(12), [1, 3, 25, None] * 3):
+            omega = rng.uniform(0.3, 1.0)
+            g2 = 0.0 if case % 3 == 0 else rng.uniform(0.0, 0.95) * critical_coupling(omega)
+            params, cutoff = ModelParams(rng.uniform(0.0, 1.5), omega, g2), int(rng.integers(16, 97))
+            for label in [*ALL_SUBSPACES, FULL]:
+                dim = 2 * cutoff if label is FULL else cutoff
+                yield solve_point(params, label, cutoff, k or dim).pairs, 1 + (label is FULL)
+            for build in (build_phase_space, build_rotated_fock):
+                yield solve_hermitian(build(params, cutoff), k or 2 * cutoff), 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pairs_and_tails_match_the_per_pair_reference(self, packaged, seed):
+        fraction = [0.2, 0.1, 0.35][seed]
+        for pairs, qubit_dim in self._solves(seed):
+            reference = _reference_package(*packaged[-1][:2])
+            for a, b in zip(pairs, reference, strict=True):
+                assert type(a.value) is float and a.value == b.value
+                assert a.vector.dtype == b.vector.dtype
+                assert a.vector.tobytes() == b.vector.tobytes()
+                # a view of the solved block where the reference viewed it, else its own array
+                assert (a.vector.base is None) == (b.vector.base is None)
+            filtered = convergence_filter(pairs, fraction, qubit_dim=qubit_dim)
+            ordered, tails = _reference_filter(reference, fraction, qubit_dim)
+            assert filtered.tails.tobytes() == tails.tobytes()
+            assert [p.value for p in filtered.pairs] == [p.value for p in ordered]
+        # (blocks, one-row columns, dtype kind): a sector, FULL at g2 = 0 (1 x 1 blocks
+        # only), coupled FULL (four chains and no 1 x 1 block), the complex rotated form
+        layouts = {(len(b), len(b[0][2]) == 1, b[0][2].dtype.kind) for b, *_ in packaged}
+        assert {(1, False, "f"), (1, True, "f"), (5, False, "f")} <= layouts
+        assert any(kind == "c" for *_, kind in layouts)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_random_blocks_match_the_per_pair_reference(self, dtype):
+        # generic pivots (a complex phase divided per pair), some past leading
+        # amplitudes below 1e-8, unscattered, scattered and 1 x 1 blocks
+        rng = np.random.default_rng(5)
+
+        def columns(m, n):
+            v = rng.normal(size=(m, n)) + (1j * rng.normal(size=(m, n)) if dtype is complex else 0)
+            for c in range(n):
+                v[: c % 4, c] = 1e-9
+            return v / np.linalg.norm(v, axis=0)
+
+        order = rng.permutation(30)
+        units = np.ones((1, 6), dtype=dtype)
+        split = [
+            (np.sort(order[:9]), np.sort(rng.normal(size=9)), columns(9, 9)),
+            (np.sort(order[9:24]), np.sort(rng.normal(size=7)), columns(15, 7)),
+            (np.sort(order[24:]), rng.normal(size=6), units),
+        ]
+        whole = [(None, np.sort(rng.normal(size=12)), columns(40, 12))]
+        for blocks, total in [(split, 22), (whole, 12)]:
+            for k in (1, 5, total):
+                got, want = solver._package(blocks, k), _reference_package(blocks, k)
+                assert [p.value for p in got] == [p.value for p in want]
+                for a, b in zip(got, want, strict=True):
+                    assert a.vector.dtype == b.vector.dtype
+                    assert a.vector.tobytes() == b.vector.tobytes()
+
+    def test_every_returned_pair_passes_the_public_check(self):
+        # the packager's own bulk check stands in for EigenPair's; rebuilding each pair
+        # through the public constructor runs that check again
+        params = ModelParams(0.7, 0.5, 0.2)
+        solved = [
+            solve_tridiagonal(build_subspace_tridiagonal(Q14P, params, 64), 64),
+            solve_band(full_fock_band(params, 64), 128),
+            solve_band(full_fock_band(ModelParams(0.7, 0.5, 0.0), 64), 30),
+            solve_hermitian(build_phase_space(params, 40), 80),
+            solve_hermitian(build_rotated_fock(params, 40), 17),
+        ]
+        for pairs in solved:
+            for pair in pairs:
+                rebuilt = EigenPair(pair.value, pair.vector)
+                assert rebuilt.value == pair.value and rebuilt.vector is pair.vector
+
+    @pytest.mark.parametrize("damage", [1.5, np.nan])
+    def test_unpicked_bad_column_raises(self, damage):
+        vectors = np.eye(4)
+        vectors[:, 3] *= damage  # the column of the highest value, never picked at k = 2
+        with pytest.raises(ValueError, match=BAD_COLUMN):
+            solver._package([(None, np.arange(4.0), vectors)], 2)
+
+
 class TestTailNorm:
     def test_first_basis_vector(self):
         e0 = np.zeros(10)
@@ -369,12 +518,28 @@ class TestConvergenceFilter:
         empty = convergence_filter([])
         assert empty.pairs == () and empty.tails.shape == (0,)
         assert empty.converged_count == 0 and empty.converged_values.shape == (0,)
+        assert empty.converged_values.dtype == np.float64
 
     def test_equal_values_ordered_by_tail(self):
         e0, e9 = np.eye(10)[0], np.eye(10)[9]
         spectrum = convergence_filter([EigenPair(0.5, e9), EigenPair(0.5, e0)])
         assert spectrum.tails.tolist() == [0.0, 1.0]
         assert spectrum.pairs[0].vector[0] == 1.0
+
+    def test_mixed_lengths_keep_their_own_tail(self):
+        # the last ceil(0.2 * 10) = 2 and ceil(0.2 * 20) = 4 amplitudes of each
+        short, long = np.zeros(10), np.zeros(20)
+        short[-3:] = long[-3:] = 1 / np.sqrt(3)
+        spectrum = convergence_filter([EigenPair(0.0, short), EigenPair(1.0, long)])
+        assert spectrum.tails.tolist() == [tail_norm_of(short), tail_norm_of(long)]
+        assert spectrum.tails == pytest.approx([np.sqrt(2 / 3), 1.0], abs=1e-15)
+
+    # the settings are checked once per batch, an empty one included
+    @pytest.mark.parametrize("pairs", [[], [EigenPair(0.0, np.ones(4) / 2)]], ids=["empty", "one"])
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, np.nan])
+    def test_rejects_bad_fraction(self, fraction, pairs):
+        with pytest.raises(ValueError, match=r"tail_fraction must be in \(0, 1\)"):
+            convergence_filter(pairs, fraction)
 
     def test_rejects_zero_length_tail(self):
         pair = EigenPair(0.0, np.ones(1))
