@@ -27,7 +27,6 @@ from .analytic import (
     degenerate_spectrum,
     fock_to_position,
     hermite_gauss,
-    plane_wave,
 )
 from .model import (
     ALL_SUBSPACES,
@@ -383,10 +382,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def _closed_form_and_numeric(
     params: ModelParams, label: SubspaceLabel, cutoff: int, level: int, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form mode of a sector's ladder level on the grid x (Hermite-Gauss
-    of Fock level 2*level + fock_parity below g_c, the plane wave at g_c) and
-    the numeric eigenvector mapped there, its unphysical global sign set by a
-    non-negative overlap with a real closed form. SpectralCollapseError past g_c."""
+    """Closed-form mode of a sector's ladder level on the grid x and the numeric
+    eigenvector mapped there, its unphysical global sign set by a non-negative
+    overlap with the closed form: the Hermite-Gauss mode of Fock level 2*level +
+    fock_parity below g_c; at g_c, where H = omega p^2, the box mode of that parity,
+    cos or sin(sqrt(E / omega) x) / sqrt(L), L = sqrt(4 cutoff + 1 + 2 fock_parity) the
+    classical edge of the first Fock level past the ladder. SpectralCollapseError past g_c."""
     data = classify_regime(params)
     if data.regime is Regime.INVERTED:
         raise SpectralCollapseError("regime III closed forms out of scope")
@@ -395,8 +396,10 @@ def _closed_form_and_numeric(
     if data.regime is Regime.HARMONIC:
         exact = hermite_gauss(2 * level + label.fock_parity, data, x)
     else:
-        exact = plane_wave(max(pair.value, 0.0), 1, x)
-    if np.isrealobj(exact) and float(np.trapezoid(exact * numeric, x)) < 0:
+        wave = (np.cos, np.sin)[label.fock_parity]
+        edge = np.sqrt(4 * cutoff + 1 + 2 * label.fock_parity)
+        exact = wave(np.sqrt(max(pair.value, 0.0) / params.omega) * x) / np.sqrt(edge)
+    if float(np.trapezoid(exact * numeric, x)) < 0:
         numeric = -numeric
     return exact, numeric
 

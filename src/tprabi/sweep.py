@@ -625,13 +625,13 @@ def _search(
 
 
 def refine_comb(config: SweepConfig, estimate: CollapseEstimate) -> SweepConfig:
-    """Config whose comb is c + (j / 50) * step, j = -50 ... 0, for a coarse
-    estimate (c, step), less points below 0: the bracket [c - step, c] of the
-    drop, whose ends are the coarse points bit for bit at an interior hit."""
+    """Config whose comb is c + (j / 50) * step, j = -50 ... 0, for a coarse estimate
+    (c, step), its points below 0 made one point 0, where no pair collapses: the bracket
+    [c - step, c] of the drop, whose ends are the coarse points bit for bit at an interior hit."""
     if not all(x is not None and 0 < x < math.inf for x in (estimate.coupling, estimate.step)):
         raise ValueError(f"estimate must be found with finite coupling, step > 0, got {estimate}")
-    points = (estimate.coupling + (j / 50) * estimate.step for j in range(-50, 1))
-    return replace(config, coupling_spec=tuple(float(g) for g in points if g >= 0))
+    points = (max(0.0, float(estimate.coupling + (j / 50) * estimate.step)) for j in range(-50, 1))
+    return replace(config, coupling_spec=tuple(dict.fromkeys(points)))
 
 
 def exceptional_state(

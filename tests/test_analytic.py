@@ -337,3 +337,16 @@ class TestFockToPosition:
         exact, numeric = _closed_form_and_numeric(ModelParams(0.0, 0.5, 0.1), Q14P, 2048, 0, x)
         err = np.sqrt(np.trapezoid((numeric - exact) ** 2, x))
         assert err < 1e-6
+
+    @pytest.mark.parametrize("omega", [0.5, 1.0])
+    @pytest.mark.parametrize("label", [Q14P, Q34P], ids=["q14+", "q34+"])
+    def test_numeric_modes_at_g_c_match_box_modes(self, label, omega):
+        # at g_c, H = omega p^2 on a ladder cut at Fock level ~2 * cutoff: each level is
+        # the box mode of the sector's parity, cos or sin(sqrt(E / omega) x) / sqrt(L);
+        # the plane wave exp(i sqrt(E) x) compared before was off by ~0.49 everywhere
+        x = np.linspace(-10.0, 10.0, 401)
+        params = ModelParams(0.0, omega, critical_coupling(omega))
+        for level in (0, 1, 7, 20):
+            exact, numeric = _closed_form_and_numeric(params, label, 2048, level, x)
+            assert np.isrealobj(exact)
+            assert np.max(np.abs(numeric - exact)) < 1e-4

@@ -128,6 +128,41 @@ class TestAllPairsMRRR:
         assert np.array_equal(full.converged, bisected.converged)
 
 
+class TestSectorBisectionBytes:
+    """A sector solved for fewer than all its pairs is bisected by LAPACK dstebz and
+    dstein with the arguments eigh_tridiagonal(select="i") passes, so its pairs are
+    that call's bytes, signed; dimension 1 takes eigh_tridiagonal's own shortcut."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pairs_equal_eigh_tridiagonal_select_bytes(self, seed):
+        # omega0 = 0 or up to 40 omega; g2 = 0, 1e-18 omega (dstebz splits the sector,
+        # its blocks out of value order when omega0 > 0), coupled, or past g_c
+        rng = np.random.default_rng(seed)
+        for omega0_case, g2_case, label in np.ndindex(2, 4, 4):
+            omega = rng.uniform(0.3, 1.0)
+            omega0 = [0.0, rng.uniform(0.0, 40.0) * omega][omega0_case]
+            coupled = [0.0, 1e-18, rng.uniform(0.1, 0.999), rng.uniform(1.0, 1.2)][g2_case]
+            g2 = coupled * (omega if g2_case == 1 else critical_coupling(omega))
+            sector = build_subspace_tridiagonal(
+                ALL_SUBSPACES[label], ModelParams(omega0, omega, g2), int(rng.integers(27, 300))
+            )
+            one = TridiagonalMatrix(sector.diag[:1], sector.offdiag[:0])  # dimension 1
+            for t, k in [(one, 1)] + [(sector, k) for k in (1, 2, 3, 25, sector.dimension - 1)]:
+                pairs = solve_tridiagonal(t, k)
+                values, vectors = scipy.linalg.eigh_tridiagonal(
+                    t.diag, t.offdiag, select="i", select_range=(0, k - 1)
+                )
+                assert len(pairs) == k
+                for pair, value, column in zip(pairs, values, vectors.T):
+                    reference = _reference_sign(column)
+                    assert type(pair.value) is float
+                    assert np.float64(pair.value).tobytes() == value.tobytes()
+                    assert pair.vector.dtype == reference.dtype
+                    assert pair.vector.tobytes() == reference.tobytes()
+                    tails = [np.float64(tail_norm_of(v)) for v in (pair.vector, reference)]
+                    assert tails[0].tobytes() == tails[1].tobytes()
+
+
 class TestBandSolve:
     """solve_band on the full-Fock band against dense eigh of the same matrix:
     the same values and the same filter verdicts, for every pair (?sbevd) and
@@ -327,10 +362,12 @@ class TestBadColumn:
         sector = build_subspace_tridiagonal(Q14P, params, 64)
         band = full_fock_band(params, 64)  # chains of 32 > 10: bisected, vectors by dstein
         wide = build_phase_space(params, 64)  # blocks of three off-diagonals: eig_banded
-        for lapack in ("eigh_tridiagonal", "eigh", "eig_banded", "dstein"):
+        for lapack in ("eigh_tridiagonal", "eig_banded", "dstein"):
             damage_last_column(lapack, damage)
-        with pytest.raises(ValueError, match=BAD_COLUMN):
-            solve_tridiagonal(sector, 10)
+        # 10 of 64 pairs by dstein, all 64 by eigh_tridiagonal (MRRR)
+        for k in (10, sector.dimension):
+            with pytest.raises(ValueError, match=BAD_COLUMN):
+                solve_tridiagonal(sector, k)
         with pytest.raises(ValueError, match=BAD_COLUMN):
             solve_band(band, 10)
         with pytest.raises(ValueError, match=BAD_COLUMN):
