@@ -175,16 +175,12 @@ def _turns(columns: np.ndarray) -> list:
     return (pivots < 0).tolist() if real else [np.conj(p) / abs(p) for p in pivots]
 
 
-def _tridiagonal(d: np.ndarray, e: np.ndarray, k: int) -> tuple:
-    """k lowest eigenvalues of the real symmetric tridiagonal matrix (d, e), ascending,
-    with their vector columns: all by MRRR (stemr, named as SciPy's default varies) when k
-    is its dimension, which may report a tail below ~1e-16 as exactly 0; else by LAPACK
-    dstebz, then dstein, with eigh_tridiagonal(select="i")'s arguments and so its bytes,
-    the columns a function giving those of the first t values. dstein runs only on the
-    shortest prefix of the values, in dstebz's block order, that holds those t: its
-    vector j depends on the values up to j alone."""
-    if k == len(d):
-        return scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
+def _bisection(d: np.ndarray, e: np.ndarray, k: int) -> tuple:
+    """The k < len(d) lowest eigenvalues of the real symmetric tridiagonal matrix (d, e),
+    ascending, and a function giving the vector columns of the first t of them: LAPACK
+    dstebz, then dstein, with eigh_tridiagonal(select="i")'s arguments and so its bytes.
+    dstein runs only on the shortest prefix of the values, in dstebz's block order, that
+    holds those t: its vector j depends on the values up to j alone."""
     m, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
     if info:
         raise np.linalg.LinAlgError(f"dstebz did not converge (LAPACK info={info})")
@@ -203,11 +199,20 @@ def _tridiagonal(d: np.ndarray, e: np.ndarray, k: int) -> tuple:
     return w[order], columns
 
 
+def _lowest(d: np.ndarray, e: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k lowest eigenvalues and eigenvector columns of the real symmetric tridiagonal
+    matrix with diagonal d and off-diagonal e: all by MRRR (stemr, named as SciPy's
+    default varies) when k is its dimension, which may report a tail below ~1e-16 as
+    exactly 0; else bisection."""
+    if k == len(d):
+        return scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
+    return scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+
+
 def solve_tridiagonal(matrix: TridiagonalMatrix, k: int) -> list[EigenPair]:
-    """k lowest eigenpairs of a real symmetric tridiagonal matrix, by _tridiagonal as
-    solve_band's real tridiagonal blocks."""
+    """k lowest eigenpairs of a real symmetric tridiagonal matrix."""
     _check_k(k, matrix.dimension)
-    values, vectors = _tridiagonal(matrix.diag, matrix.offdiag, k)
+    values, vectors = _lowest(matrix.diag, matrix.offdiag, k)
     # all pairs copied: pairs viewing LAPACK's own buffer raised peak RSS 0.3 MB
     return _package([(None, values, vectors.copy() if k == matrix.dimension else vectors)], k)
 
@@ -240,9 +245,9 @@ def _solve_block(rows: np.ndarray, indices: np.ndarray, k: int) -> tuple:
     """min(k, size) lowest eigenpairs of the block over two or more indices of a lower
     band whose last row, past the band, is zero, on the block's own band, read as far as
     its index gaps reach inside the band and narrowed to its last nonzero row: a real
-    one of one off-diagonal by _tridiagonal (when bisected, its vectors a function of
-    how many are picked), any other by ?sbevd/?hbevd for all its pairs, else by
-    ?sbevx/?hbevx."""
+    one of one off-diagonal by _lowest for all its pairs, else by _bisection (its vectors
+    a function of how many are picked), any other by ?sbevd/?hbevd for all its pairs,
+    else by ?sbevx/?hbevx."""
     m, width, k = len(indices), rows.shape[0] - 2, min(k, len(indices))
     # entries d block indices apart lie at least d times the least gap apart in the band
     reach = min(m - 1, width // int((indices[1:] - indices[:-1]).min()))
@@ -253,7 +258,7 @@ def _solve_block(rows: np.ndarray, indices: np.ndarray, k: int) -> tuple:
     while not sub[-1].any():
         sub.pop()
     if len(sub) == 2 and not np.iscomplexobj(rows):
-        return _tridiagonal(*sub, k)
+        return _lowest(*sub, k) if k == m else _bisection(*sub, k)
     band = np.array([np.pad(row, (0, d)) for d, row in enumerate(sub)])
     return scipy.linalg.eig_banded(
         band, lower=True, select="a" if k == m else "i", select_range=(0, k - 1)

@@ -44,9 +44,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def damage_last_column(monkeypatch):
     """damage(lapack, factor) patches scipy.linalg.<lapack> to scale the last
     eigenvector column it returns by factor; "dstein" patches scipy.linalg.lapack's,
-    which returns (vectors, info), and so reaches every bisected real tridiagonal:
-    a sector, or a chain of the full model, solved for fewer than all its pairs.
-    "eigh_tridiagonal" reaches only those solved for all their pairs (MRRR)."""
+    which returns (vectors, info), and so reaches the full model's bisected chains."""
 
     def damage(lapack: str, factor: float) -> None:
         module = scipy.linalg.lapack if lapack == "dstein" else scipy.linalg

@@ -342,8 +342,7 @@ class TestFockToPosition:
     @pytest.mark.parametrize("label", [Q14P, Q34P], ids=["q14+", "q34+"])
     def test_numeric_modes_at_g_c_match_box_modes(self, label, omega):
         # at g_c, H = omega p^2 on a ladder cut at Fock level ~2 * cutoff: each level is
-        # the box mode of the sector's parity, cos or sin(sqrt(E / omega) x) / sqrt(L);
-        # the plane wave exp(i sqrt(E) x) compared before was off by ~0.49 everywhere
+        # the box mode of the sector's parity, cos or sin(sqrt(E / omega) x) / sqrt(L)
         x = np.linspace(-10.0, 10.0, 401)
         params = ModelParams(0.0, omega, critical_coupling(omega))
         for level in (0, 1, 7, 20):

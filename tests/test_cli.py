@@ -135,7 +135,8 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize("subspace", ["q14+", "full"])
     def test_failed_solve_exits_one(self, damage_last_column, capsys, subspace):
         # the solve's ValueError used to be reported as a usage error, exit 2; the
-        # sector and the full model's chains are bisected, their vectors from dstein
+        # full model's chains are bisected, their vectors from dstein
+        damage_last_column("eigh_tridiagonal", 1.5)
         damage_last_column("dstein", 1.5)
         code, out, err = run_cli(
             "spectrum --omega0 1 --omega 0.5 --g2 0.1 --cutoff 64"
@@ -697,7 +698,7 @@ class TestModesCommand:
         values = np.array([[float(v) for v in r] for r in rows])
         assert np.all(np.isfinite(values))
         # the box mode sin(kappa x) / sqrt(L) of the q = 3/4 ladder is real, and the
-        # numeric mode follows it; the plane wave compared before was off by ~0.49
+        # numeric mode follows it
         assert np.all(values[:, 2] == 0) and np.all(values[:, 4] == 0)
         assert np.max(values[:, 5]) < 1e-4
 
@@ -732,9 +733,8 @@ class TestModesCommand:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_failed_solve_exits_one(self, damage_last_column, capsys):
-        # the solve's ValueError used to be reported as a usage error, exit 2; the
-        # sector is bisected for its level + 1 lowest pairs, their vectors from dstein
-        damage_last_column("dstein", 1.5)
+        # the solve's ValueError used to be reported as a usage error, exit 2
+        damage_last_column("eigh_tridiagonal", 1.5)
         code, out, err = run_cli(
             "modes --omega 0.5 --g2 0.1 --subspace q14+ --cutoff 128".split(), capsys
         )

@@ -129,9 +129,9 @@ class TestAllPairsMRRR:
 
 
 class TestSectorBisectionBytes:
-    """A sector solved for fewer than all its pairs is bisected by LAPACK dstebz and
-    dstein with the arguments eigh_tridiagonal(select="i") passes, so its pairs are
-    that call's bytes, signed; dimension 1 takes eigh_tridiagonal's own shortcut."""
+    """A sector solved for fewer than all its pairs is eigh_tridiagonal(select="i")'s
+    bisection, so its pairs are that call's bytes, signed: the bytes any other route to
+    them (LAPACK dstebz, then dstein) must keep; dimension 1 included."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_pairs_equal_eigh_tridiagonal_select_bytes(self, seed):
@@ -362,12 +362,10 @@ class TestBadColumn:
         sector = build_subspace_tridiagonal(Q14P, params, 64)
         band = full_fock_band(params, 64)  # chains of 32 > 10: bisected, vectors by dstein
         wide = build_phase_space(params, 64)  # blocks of three off-diagonals: eig_banded
-        for lapack in ("eigh_tridiagonal", "eig_banded", "dstein"):
+        for lapack in ("eigh_tridiagonal", "eigh", "eig_banded", "dstein"):
             damage_last_column(lapack, damage)
-        # 10 of 64 pairs by dstein, all 64 by eigh_tridiagonal (MRRR)
-        for k in (10, sector.dimension):
-            with pytest.raises(ValueError, match=BAD_COLUMN):
-                solve_tridiagonal(sector, k)
+        with pytest.raises(ValueError, match=BAD_COLUMN):
+            solve_tridiagonal(sector, 10)
         with pytest.raises(ValueError, match=BAD_COLUMN):
             solve_band(band, 10)
         with pytest.raises(ValueError, match=BAD_COLUMN):

@@ -1078,7 +1078,8 @@ class TestFullBandSolve:
 
     @pytest.mark.parametrize("subspace", [Q14P, FULL], ids=["sector", "full"])
     def test_bad_column_is_one_failure_row_for_sector_and_full(self, damage_last_column, subspace):
-        damage_last_column("dstein", 1.5)  # 25 of 128 pairs: the sector and chains bisected
+        damage_last_column("eigh_tridiagonal", 1.5)
+        damage_last_column("dstein", 1.5)  # the full model's bisected chains
         config = SweepConfig((1.0,), (0.5,), (0.2,), (subspace,), 128)
         row = tprabi.sweep._solve_point(config, 1.0, 0.5, 0.2, subspace)
         assert row.converged_count == FAILURE_COUNT
@@ -1257,8 +1258,7 @@ class TestRefineIntegration:
 
     def test_hit_at_the_first_comb_point_refines_from_zero(self):
         # omega = 1e-5 puts g_c below the whole comb, so the coarse hit is its first
-        # point with the step to the next; the refine comb used to keep c alone
-        # and refine_collapse raised "slice needs >= 2 comb points, got 1"
+        # point with the step to the next, and every refine point below it is below 0
         config = SweepConfig((0.0,), (1e-5,), (1e-4, 1.0), (Q14P,), 64)
         coarse, refined = refine_collapse(config, 0.0, 1e-5)
         assert coarse == CollapseEstimate(1e-4, 0.9999)
@@ -1458,16 +1458,21 @@ class TestSearchStore:
 
 
 def record_select_ranges(monkeypatch):
-    """The list that records as (il - 1, iu - 1) the index range of every
-    scipy.linalg.lapack.dstebz call (a sector or a full-model chain solved for
-    fewer than all its pairs), from then on (the calls still solve)."""
+    """The list that records the select_range of every eigh_tridiagonal call, and
+    as (il - 1, iu - 1) that of every scipy.linalg.lapack.dstebz call (the full
+    model's bisected chains), from then on (the calls still solve)."""
     ranges = []
-    bisect = scipy.linalg.lapack.dstebz
+    solve, bisect = scipy.linalg.eigh_tridiagonal, scipy.linalg.lapack.dstebz
+
+    def recorded(*args, **kwargs):
+        ranges.append(kwargs["select_range"])
+        return solve(*args, **kwargs)
 
     def recorded_bisection(d, e, select, vl, vu, il, iu, *args):
         ranges.append((il - 1, iu - 1))
         return bisect(d, e, select, vl, vu, il, iu, *args)
 
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recorded)
     monkeypatch.setattr(scipy.linalg.lapack, "dstebz", recorded_bisection)
     return ranges
 
@@ -1494,19 +1499,18 @@ class TestProbeDepth:
             (1.0,), (0.5,), RelativeComb(steps=200, lo=0.0, hi=2.0), (Q14P,), 256
         )
         expected = locate_collapse(config, 1.0, 0.5)
-        bisect, failed = scipy.linalg.lapack.dstebz, []
+        solve = scipy.linalg.eigh_tridiagonal
 
-        def failing_shallow(d, e, select, vl, vu, il, iu, *args):
-            if (il, iu) == (1, PROBE_DEPTH):
-                failed.append(iu)
+        def failing_shallow(*args, **kwargs):
+            if kwargs["select_range"] == (0, PROBE_DEPTH - 1):
                 raise np.linalg.LinAlgError("shallow solve failed")
-            return bisect(d, e, select, vl, vu, il, iu, *args)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing_shallow)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing_shallow)
         store = {}
         assert tprabi.sweep._search(config, 1.0, 0.5, None, store) == expected
-        assert store and failed  # every shallow solve failed, so each probe went to k
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", bisect)
+        assert store
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", solve)
         for key, stored in store.items():
             assert stored == (tprabi.sweep._solve_point(config, *key), True)
 
